@@ -10,10 +10,10 @@ from .grammar import (DerivationCache, Grammar, GrammarError, builtin,
                       parse_grammar, resolve_grammar)
 from .perms import (DEFAULT_CAP, EnumerationCapError, Labeling, StatVector,
                     consecutive_count, enumerate_poly, insertion_children,
-                    involution_count, label, label_exterior, label_peak,
-                    specialized_poly, stats, triangle)
-from .series import Series, TheoremRhs, exp_poly, hyp1f1_ct2, theorem_rhs, trig_sqrt
-from .specialfn import EvalContext, erf, gamma, hyp1f1, pcf_d, rgamma, theorem_rhs_num
+                    involution_count, label_exterior, label_peak, specialized_poly,
+                    stats, triangle)
+from .series import Series, exp_poly, hyp1f1_ct2, trig_sqrt
+from .specialfn import EvalContext, gamma, hyp1f1, pcf_d, rgamma
 from .checks import Report, run_check, run_many
 
 __version__ = "0.1.0"
@@ -24,9 +24,9 @@ __all__ = [
     "gen_coeffs", "gen_product", "load_grammar", "parse_grammar", "resolve_grammar",
     "DEFAULT_CAP", "EnumerationCapError", "Labeling", "StatVector",
     "consecutive_count", "enumerate_poly", "insertion_children", "involution_count",
-    "label", "label_exterior", "label_peak", "specialized_poly", "stats", "triangle",
-    "Series", "TheoremRhs", "exp_poly", "hyp1f1_ct2", "theorem_rhs", "trig_sqrt",
-    "EvalContext", "erf", "gamma", "hyp1f1", "pcf_d", "rgamma", "theorem_rhs_num",
+    "label_exterior", "label_peak", "specialized_poly", "stats", "triangle",
+    "Series", "exp_poly", "hyp1f1_ct2", "trig_sqrt",
+    "EvalContext", "gamma", "hyp1f1", "pcf_d", "rgamma",
     "Report", "run_check", "run_many",
     "__version__",
 ]

@@ -13,29 +13,33 @@ oracle and declares the mode:
   special-function unit suite, checked in floating point against exact
   truncated series or against each other.
 
-Adding a check means adding a registry entry; the runner, CLI, and report
-plumbing never need to change.
+Checks of the two common shapes are rows of data, each shape run by one
+loop: a ``_derivative`` row compares D^n(seed) under a built-in grammar with
+an enumeration oracle, and a ``_sampled`` row compares a closed-form series
+builder with a specialized oracle at every point of a sample grid.  Adding a
+check means adding a row to the registry (or, for another shape, a runner
+function); the runner, CLI, and report plumbing never need to change.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
-from . import perms, specialfn
-from .algebra import LaurentPoly
-from .grammar import DerivationCache, builtin, builtin_hash, gen_coeffs, gen_product
+from . import perms, series, specialfn
+from .algebra import LaurentPoly, Monomial
+from .grammar import (DerivationCache, Grammar, builtin, builtin_hash, gen_coeffs,
+                      gen_product)
 from .perms import (DEFAULT_CAP, WEIGHT_VARS, enumerate_poly, involution_count,
                     label_exterior, label_peak, peak_weight, permutations,
                     specialized_poly, stats)
-from .series import (Series, exp_poly, hyp1f1_ct2, rhs_barry_basset,
-                     rhs_carlitz_scoville, rhs_elizalde_noy, rhs_fu, rhs_gessel,
-                     rhs_involutions, rhs_l, rhs_t, rhs_ta_even, rhs_ta_odd,
-                     rhs_tbar, rhs_ttilde)
+from .series import (Series, exp_poly, hyp1f1_ct2, rhs_elizalde_noy, rhs_involutions,
+                     rhs_ta_even, rhs_ta_odd)
 
 F = Fraction
 
@@ -93,7 +97,8 @@ class Report:
 
 
 class Recorder:
-    """Accumulates comparisons; keeps the first counterexample verbatim."""
+    """Accumulates comparisons; keeps the first counterexample verbatim and
+    the names of the built-in grammars the check asked for."""
 
     def __init__(self) -> None:
         self.checked = 0
@@ -101,6 +106,12 @@ class Recorder:
         self.details: list[str] = []
         self.counterexample: str | None = None
         self.max_residual: float | None = None
+        self.grammars: set[str] = set()
+
+    def grammar(self, name: str) -> Grammar:
+        """A built-in grammar, named in the report's provenance."""
+        self.grammars.add(name)
+        return builtin(name)
 
     def note(self, text: str) -> None:
         self.details.append(text)
@@ -121,11 +132,6 @@ class Recorder:
             mono, ca, cb = _first_poly_diff(lhs, rhs)
             self.fail(f"{label}: coefficient of {mono} is {ca} on the left, {cb} on the right")
 
-    def series_coeff(self, got: Fraction, want: Fraction, label: str) -> None:
-        self.checked += 1
-        if got != want:
-            self.fail(f"{label}: {got} != {want}")
-
     def residual(self, value: float, tol: float, label: str) -> None:
         self.checked += 1
         value = abs(value)
@@ -141,7 +147,6 @@ def _short(value, limit: int = 160) -> str:
 
 
 def _first_poly_diff(a: LaurentPoly, b: LaurentPoly) -> tuple[str, Fraction, Fraction]:
-    from .algebra import Monomial
     keys = sorted(set(a.terms) | set(b.terms))
     for key in keys:
         ca = a.terms.get(key, F(0))
@@ -152,55 +157,119 @@ def _first_poly_diff(a: LaurentPoly, b: LaurentPoly) -> tuple[str, Fraction, Fra
 
 
 # -- deterministic sample grids ------------------------------------------------
+#
+# Coefficient n of a sampled series has degree <= n in each sampled variable,
+# so a check through order d needs d + 1 distinct values per variable.  Each
+# grid is the first max(10, d + 1) points of a fixed sequence.
 
 X_GRID = (F(0), F(1), F(2), F(3), F(-1), F(1, 2), F(-1, 2), F(3, 2), F(5, 2), F(-2))
-#: Offset by 1/3 so every (x, y) pair has x != y (halves vs thirds/sixths).
-Y_GRID = tuple(x + F(1, 3) for x in X_GRID)
 EN_ROOTS = (F(2), F(3), F(4), F(5), F(6), F(7), F(8), F(9), F(10), F(3, 2))
 ROOT_PAIRS = ((F(1), F(2)), (F(2), F(3)), (F(1, 2), F(2)), (F(3), F(5)), (F(2), F(7)))
 
 
-def _grammar_G():
-    return builtin("G")
+def _grid(base: tuple[Fraction, ...], order: int, first_extra: int) -> tuple[Fraction, ...]:
+    """The first max(len(base), order + 1) points of ``base`` followed by the
+    integers from ``first_extra`` on."""
+    extra = map(F, itertools.count(first_extra))
+    return tuple(itertools.islice(itertools.chain(base, extra), max(len(base), order + 1)))
 
 
-def _fact(n: int) -> int:
-    return math.factorial(n)
+def x_grid(order: int) -> tuple[Fraction, ...]:
+    """Integers and halves only: X_GRID, then 4, 5, 6, ..."""
+    return _grid(X_GRID, order, 4)
+
+
+def y_grid(order: int) -> tuple[Fraction, ...]:
+    """The x grid offset by 1/3, so every (x, y) pair has x != y (halves vs
+    thirds/sixths)."""
+    return tuple(x + F(1, 3) for x in x_grid(order))
+
+
+def en_roots(order: int) -> tuple[Fraction, ...]:
+    """Roots a > 1 only, so the samples y = a + 1/a - 1 are distinct."""
+    return _grid(EN_ROOTS, order, 11)
+
+
+def _line(var: str) -> Callable[[int], list]:
+    """One variable over the x grid."""
+    return lambda order: [(f"{var}={v}", (v,), {var: v}) for v in x_grid(order)]
+
+
+def _plane(order: int) -> list:
+    return [(f"(x,y)=({x},{y})", (x, y), {"x": x, "y": y})
+            for x in x_grid(order) for y in y_grid(order)]
+
+
+def _root_pairs(order: int) -> list:
+    return [(f"roots ({a},{b}), y={y}", (a, b, y), None)
+            for a, b in ROOT_PAIRS for y in y_grid(order)]
+
+
+# -- shared comparison loops -----------------------------------------------------
+
+
+def _check_series_against(rec: Recorder, rhs: Series, values: Sequence[Fraction],
+                          label: str) -> None:
+    """Coefficient n of the series against the oracle value over n!."""
+    for n, value in enumerate(values):
+        rec.equal(rhs[n], value / math.factorial(n), f"{label}, coefficient of t^{n}")
+
+
+def _oracle_polys(target: str, spec: CheckSpec, start: int = 0) -> list[LaurentPoly | None]:
+    """The oracle polynomial of each n = 0..order, None below ``start``."""
+    return [specialized_poly(n, target, cap=spec.cap) if n >= start else None
+            for n in range(spec.order + 1)]
+
+
+def _run_samples(spec: CheckSpec, rec: Recorder, target: str, builder: str,
+                 grid: Callable[[int], list], start: int = 0) -> None:
+    """Compare ``series.<builder>`` with the oracle ``target`` at each sample.
+
+    ``grid(order)`` lists (label, builder arguments, evaluation point); a
+    point of None means the builder returns (point, series) itself.  The
+    oracle is zero below n = ``start``.
+    """
+    polys = _oracle_polys(target, spec, start)
+    build = getattr(series, builder)  # by name, so a rebound builder is the one run
+    for label, args, point in grid(spec.order):
+        rhs = build(*args, spec.order)
+        if point is None:
+            point, rhs = rhs
+        _check_series_against(rec, rhs, [F(0) if poly is None else poly.evaluate(point)
+                                         for poly in polys], label)
+
+
+def _sampled(check_id: str, description: str, target: str, builder: str,
+             grid: Callable[[int], list], note: str, start: int = 0) -> CheckDef:
+    """An exact-sampled row run by ``_run_samples``; ``note`` is formatted with
+    the order, the per-variable grid size and the number of root pairs."""
+    def run(spec: CheckSpec, rec: Recorder) -> None:
+        _run_samples(spec, rec, target, builder, grid, start)
+        rec.note(note.format(order=spec.order, size=len(x_grid(spec.order)),
+                             pairs=len(ROOT_PAIRS)))
+    return CheckDef(check_id, "exact-sampled", description, run, order=9)
+
+
+def _derivative(check_id: str, description: str, grammar: str, seed: str, first: int,
+                oracle: Callable[[Grammar, int, int], LaurentPoly], label: str, note: str,
+                lhs: Callable[[LaurentPoly], LaurentPoly] = lambda poly: poly) -> CheckDef:
+    """An exact-symbolic row: ``lhs(D^n(seed))`` under a built-in grammar
+    against ``oracle(g, n, cap)`` for n = first..n_max.  ``label`` is
+    formatted with n and ``note`` with n_max."""
+    def run(spec: CheckSpec, rec: Recorder) -> None:
+        g = rec.grammar(grammar)
+        cache = DerivationCache(g, g.poly(seed))
+        for n in range(first, spec.n_max + 1):
+            rec.poly_equal(lhs(cache.upto(n)[n]), oracle(g, n, spec.cap), label.format(n=n))
+        rec.note(note.format(n_max=spec.n_max))
+    return CheckDef(check_id, "exact-symbolic", description, run, n_max=8)
 
 
 # -- exact-symbolic runners ----------------------------------------------------
 
 
-def _run_thm_p(spec: CheckSpec, rec: Recorder) -> None:
-    g = _grammar_G()
-    cache = DerivationCache(g, g.poly("z"))
-    derivs = cache.upto(spec.n_max)
-    for n in range(spec.n_max + 1):
-        rec.poly_equal(derivs[n], enumerate_poly(n, "P", cap=spec.cap),
-                       f"derivative vs enumeration at n={n}")
-    rec.note(f"D^n(z) equals the exterior-scheme enumeration for 0 <= n <= {spec.n_max}")
-
-
-def _run_thm_q(spec: CheckSpec, rec: Recorder) -> None:
-    g = _grammar_G()
-    derivs = DerivationCache(g, g.poly("w")).upto(spec.n_max)
-    for n in range(1, spec.n_max + 1):
-        rec.poly_equal(derivs[n], enumerate_poly(n, "Q", cap=spec.cap),
-                       f"derivative vs enumeration at n={n}")
-    rec.note(f"D^n(w) equals the peak-scheme enumeration for 1 <= n <= {spec.n_max}")
-
-
-def _run_w_cor(spec: CheckSpec, rec: Recorder) -> None:
-    g = _grammar_G()
-    derivs = DerivationCache(g, g.poly("w")).upto(spec.n_max)
-    for n in range(1, spec.n_max + 1):
-        rec.poly_equal(derivs[n].substitute({"v": "z"}), enumerate_poly(n, "W", cap=spec.cap),
-                       f"v->z specialization at n={n}")
-    rec.note(f"D^n(w) at v=z equals the valley-marked enumeration for 1 <= n <= {spec.n_max}")
-
-
 def _run_insertion(spec: CheckSpec, rec: Recorder) -> None:
-    g = _grammar_G()
+    g = rec.grammar("G")
     for n in range(spec.n_max + 1):
         for perm in permutations(n):
             total = LaurentPoly.zero(WEIGHT_VARS)
@@ -224,7 +293,7 @@ def _run_conv(spec: CheckSpec, rec: Recorder) -> None:
 
 
 def _run_ode(spec: CheckSpec, rec: Recorder) -> None:
-    g = _grammar_G()
+    g = rec.grammar("G")
     seed = g.poly("x^-1/2*z^-1/2")
     coeffs = gen_coeffs(g, seed, spec.order + 2)
     alpha = g.poly("y^2 + 2*y*w + w^2 - 2*x*v - 2*z*u")
@@ -248,22 +317,23 @@ def _run_ode(spec: CheckSpec, rec: Recorder) -> None:
 
 
 def _run_gen_x1z(spec: CheckSpec, rec: Recorder) -> None:
-    g = _grammar_G()
+    g = rec.grammar("G")
     lhs = gen_coeffs(g, g.poly("x^-1*z"), spec.order)
     front = g.poly("x^-1*z")
     wy = g.poly("w") - g.poly("y")
     c = g.poly("x*v - z*u")
+    fact = math.factorial
     for n in range(spec.order + 1):
         total = LaurentPoly.zero(WEIGHT_VARS)
         for k in range(n // 2 + 1):
-            scale = F(_fact(n), (2 ** k) * _fact(n - 2 * k) * _fact(k))
+            scale = F(fact(n), (2 ** k) * fact(n - 2 * k) * fact(k))
             total = total + scale * (wy ** (n - 2 * k)) * (c ** k)
         rec.poly_equal(lhs[n], front * total, f"closed form of D^n(x^-1 z) at n={n}")
     rec.note(f"D^n(x^-1 z) matches its binomial closed form through n = {spec.order}")
 
 
 def _run_quotient(spec: CheckSpec, rec: Recorder) -> None:
-    g = _grammar_G()
+    g = rec.grammar("G")
     gz = gen_coeffs(g, g.poly("z"), spec.order)
     gs = gen_coeffs(g, g.poly("x^-1/2*z^-1/2"), spec.order)
     lhs = gen_product(gen_product(gz, gz), gen_product(gs, gs))
@@ -289,14 +359,14 @@ def _run_stats_id(spec: CheckSpec, rec: Recorder) -> None:
 
 
 def _run_grammar_chain(spec: CheckSpec, rec: Recorder) -> None:
-    g = _grammar_G()
+    g = rec.grammar("G")
     chains = (
         ("g1", {"w": "x", "u": "x", "z": "y", "v": "y"}, "x"),
         ("g2", {"z": "x", "u": "x", "v": "x", "w": "y"}, "x"),
         ("g3", {"v": "z", "u": "x"}, "z"),
     )
     for name, chain, seed_name in chains:
-        target = builtin(name)
+        target = rec.grammar(name)
         for var in g.vars:
             image = g.rule(var).substitute(chain).with_vars(target.vars)
             rec.poly_equal(image, target.rule(chain.get(var, var)),
@@ -310,169 +380,52 @@ def _run_grammar_chain(spec: CheckSpec, rec: Recorder) -> None:
     rec.note(f"G reduces to g1, g2, g3 and the reductions commute with D up to n = {spec.n_max}")
 
 
-def _run_g1_eulerian(spec: CheckSpec, rec: Recorder) -> None:
-    g1 = builtin("g1")
-    cache = DerivationCache(g1, g1.poly("x"))
-    for n in range(spec.n_max + 1):
-        lhs = cache.upto(n)[n].substitute({"y": 1})
-        rhs = (specialized_poly(n, "Eulerian", cap=spec.cap).with_vars(g1.vars)
-               * g1.poly("x"))
-        rec.poly_equal(lhs, rhs, f"Eulerian specialization at n={n}")
-    rec.note(f"D^n(x) under g1 at y=1 equals x times the descent polynomial, n <= {spec.n_max}")
-
-
-def _run_g2_exterior(spec: CheckSpec, rec: Recorder) -> None:
-    g2 = builtin("g2")
-    cache = DerivationCache(g2, g2.poly("x"))
-    for n in range(spec.n_max + 1):
-        dist = specialized_poly(n, "Gessel-T", cap=spec.cap)
-        terms = {}
-        for key, coeff in dist.terms.items():
-            k = key[0] // 2
-            terms[(2 * (2 * k + 1), 2 * (n - 2 * k))] = coeff
-        rec.poly_equal(cache.upto(n)[n], LaurentPoly(g2.vars, terms),
-                       f"exterior-peak distribution at n={n}")
-    rec.note(f"D^n(x) under g2 equals sum x^(2k+1) y^(n-2k) over exterior-peak counts, n <= {spec.n_max}")
-
-
-def _run_g3_fu(spec: CheckSpec, rec: Recorder) -> None:
-    g3 = builtin("g3")
-    cache = DerivationCache(g3, g3.poly("z"))
-    for n in range(spec.n_max + 1):
-        rec.poly_equal(cache.upto(n)[n], specialized_poly(n, "Fu", cap=spec.cap),
-                       f"four-variable distribution at n={n}")
-    rec.note(f"D^n(z) under g3 equals the exterior-peak/descent enumeration, n <= {spec.n_max}")
-
-
-# -- exact-sampled runners -------------------------------------------------------
-
-
-def _check_series_against(rec: Recorder, rhs: Series, values: Sequence[Fraction],
-                          label: str) -> None:
-    for n, value in enumerate(values):
-        rec.series_coeff(rhs[n], value / _fact(n), f"{label}, coefficient of t^{n}")
-
-
-def _oracle_values(target: str, point: Mapping[str, Fraction], order: int, cap: int) -> list[Fraction]:
-    return [specialized_poly(n, target, cap=cap).evaluate(point) for n in range(order + 1)]
-
-
-def _run_gessel(spec: CheckSpec, rec: Recorder) -> None:
-    for x in X_GRID:
-        rhs = rhs_gessel(x, spec.order)
-        _check_series_against(rec, rhs, _oracle_values("Gessel-T", {"x": x}, spec.order, spec.cap),
-                              f"x={x}")
-    rec.note(f"exterior-peak closed form matches enumeration at {len(X_GRID)} points, "
-             f"orders 0..{spec.order} (coefficient degree <= {spec.order} < grid size)")
+# -- exact-sampled runners of other shapes ---------------------------------------
 
 
 def _run_elizalde_noy(spec: CheckSpec, rec: Recorder) -> None:
+    polys = _oracle_polys("U", spec)
     seen = set()
-    for a in EN_ROOTS:
+    roots = en_roots(spec.order)
+    for a in roots:
         y, rhs = rhs_elizalde_noy(a, spec.order)
         seen.add(y)
-        _check_series_against(rec, rhs, _oracle_values("U", {"y": y}, spec.order, spec.cap),
+        _check_series_against(rec, rhs, [poly.evaluate({"y": y}) for poly in polys],
                               f"a={a} (y={y})")
-    rec.equal(len(seen), len(EN_ROOTS), "samples give distinct y values")
+    rec.equal(len(seen), len(roots), "samples give distinct y values")
     rec.note(f"double-descent closed form matches enumeration at {len(seen)} distinct y, "
              f"orders 0..{spec.order}")
 
 
-def _run_barry_basset(spec: CheckSpec, rec: Recorder) -> None:
-    rhs = rhs_barry_basset(spec.order)
-    values = [specialized_poly(n, "U", cap=spec.cap).coeff({}) for n in range(spec.order + 1)]
-    _check_series_against(rec, rhs, values, "U(n,0)")
-    rec.note(f"no-proper-double-descent counts match exp(t/2)/(E - O/2) through t^{spec.order}")
-
-
-def _run_fu(spec: CheckSpec, rec: Recorder) -> None:
-    polys = [specialized_poly(n, "Fu", cap=spec.cap) for n in range(spec.order + 1)]
-    for a, b in ROOT_PAIRS:
-        for y in Y_GRID:
-            point, rhs = rhs_fu(a, b, y, spec.order)
-            values = [poly.evaluate(point) for poly in polys]
-            _check_series_against(rec, rhs, values, f"roots ({a},{b}), y={y}")
-    rec.note(f"four-variable closed form matches enumeration on {len(ROOT_PAIRS)} root pairs "
-             f"x {len(Y_GRID)} y-samples (y-degree of coefficient n is <= n <= {spec.order})")
-
-
-def _run_carlitz_scoville(spec: CheckSpec, rec: Recorder) -> None:
-    polys = [None] + [specialized_poly(n, "F", cap=spec.cap) for n in range(1, spec.order + 1)]
-    for a, b in ROOT_PAIRS:
-        for y in Y_GRID:
-            point, rhs = rhs_carlitz_scoville(a, b, y, spec.order)
-            values = [F(0)] + [polys[n].evaluate(point) for n in range(1, spec.order + 1)]
-            _check_series_against(rec, rhs, values, f"roots ({a},{b}), y={y}")
-    rec.note(f"peak/valley closed form matches enumeration on {len(ROOT_PAIRS)} root pairs "
-             f"x {len(Y_GRID)} y-samples")
-
-
-def _run_ln(spec: CheckSpec, rec: Recorder) -> None:
-    for x in X_GRID:
-        rhs = rhs_l(x, spec.order)
-        _check_series_against(rec, rhs, _oracle_values("L", {"x": x}, spec.order, spec.cap),
-                              f"x={x}")
-    rec.note(f"consecutive-231/321 closed form matches enumeration at {len(X_GRID)} points")
-
-
-def _run_tn(spec: CheckSpec, rec: Recorder) -> None:
-    polys = [specialized_poly(n, "T", cap=spec.cap) for n in range(spec.order + 1)]
-    for x in X_GRID:
-        for y in Y_GRID:
-            rhs = rhs_t(x, y, spec.order)
-            values = [poly.evaluate({"x": x, "y": y}) for poly in polys]
-            _check_series_against(rec, rhs, values, f"(x,y)=({x},{y})")
-    rec.note(f"joint peak-pattern closed form matches enumeration on a "
-             f"{len(X_GRID)}x{len(Y_GRID)} grid (degree <= {spec.order} in each variable)")
-
-
-def _run_tbar(spec: CheckSpec, rec: Recorder) -> None:
-    for x in X_GRID:
-        _check_series_against(rec, rhs_tbar(x, spec.order),
-                              _oracle_values("Tbar", {"x": x}, spec.order, spec.cap), f"x={x}")
-    rec.note(f"132-pattern marginal matches enumeration at {len(X_GRID)} points")
-
-
-def _run_ttilde(spec: CheckSpec, rec: Recorder) -> None:
-    for y in X_GRID:
-        _check_series_against(rec, rhs_ttilde(y, spec.order),
-                              _oracle_values("Ttilde", {"y": y}, spec.order, spec.cap), f"y={y}")
-    rec.note(f"231-pattern marginal matches enumeration at {len(X_GRID)} points")
-
-
 def _run_kitaev(spec: CheckSpec, rec: Recorder) -> None:
-    no_ep1 = [specialized_poly(n, "Tbar", cap=spec.cap).coeff({}) for n in range(spec.order + 1)]
-    no_ep2 = [specialized_poly(n, "Ttilde", cap=spec.cap).coeff({}) for n in range(spec.order + 1)]
-    _check_series_against(rec, rhs_tbar(F(0), spec.order), no_ep1, "x=0 marginal")
-    _check_series_against(rec, rhs_ttilde(F(0), spec.order), no_ep2, "y=0 marginal")
+    _run_samples(spec, rec, "Tbar", "rhs_tbar",
+                 lambda order: [("x=0 marginal", (F(0),), {"x": F(0)})])
+    _run_samples(spec, rec, "Ttilde", "rhs_ttilde",
+                 lambda order: [("y=0 marginal", (F(0),), {"y": F(0)})])
     rec.note(f"avoider counts match both x=0 and y=0 specializations through t^{spec.order}")
 
 
 def _run_ta(spec: CheckSpec, rec: Recorder) -> None:
-    polys = [specialized_poly(n, "TA", cap=spec.cap) for n in range(spec.order + 1)]
-    for x in X_GRID:
-        for y in Y_GRID:
-            even = rhs_ta_even(x, y, spec.order)
-            odd = rhs_ta_odd(x, y, spec.order)
-            for n in range(spec.order + 1):
-                value = polys[n].evaluate({"x": x, "y": y}) / _fact(n)
-                if n % 2 == 0:
-                    rec.series_coeff(even[n], value, f"even part at ({x},{y}), t^{n}")
-                    rec.series_coeff(odd[n], F(0), f"odd part vanishes at ({x},{y}), t^{n}")
-                else:
-                    rec.series_coeff(odd[n], value, f"odd part at ({x},{y}), t^{n}")
-                    rec.series_coeff(even[n], F(0), f"even part vanishes at ({x},{y}), t^{n}")
+    polys = _oracle_polys("TA", spec)
+    xs, ys = x_grid(spec.order), y_grid(spec.order)
+    for x in xs:
+        for y in ys:
+            values = [poly.evaluate({"x": x, "y": y}) for poly in polys]
+            for parity, name, rhs in ((0, "even", rhs_ta_even(x, y, spec.order)),
+                                      (1, "odd", rhs_ta_odd(x, y, spec.order))):
+                _check_series_against(
+                    rec, rhs, [v if n % 2 == parity else F(0) for n, v in enumerate(values)],
+                    f"{name} part at ({x},{y})")
     rec.note(f"alternating closed form matches enumeration in both parities on a "
-             f"{len(X_GRID)}x{len(Y_GRID)} grid")
+             f"{len(xs)}x{len(ys)} grid")
 
 
 def _run_involutions(spec: CheckSpec, rec: Recorder) -> None:
     rhs = rhs_involutions(spec.n_max)
-    for n in range(spec.n_max + 1):
-        count = involution_count(n)
-        rec.equal(rhs[n] * _fact(n), F(count), f"exp(t + t^2/2) coefficient at n={n}")
-        rec.equal(specialized_poly(n, "L", cap=spec.cap).coeff({}), F(count),
-                  f"L_n(0) vs involution count at n={n}")
+    ns = range(spec.n_max + 1)
+    _check_series_against(rec, rhs, [F(involution_count(n)) for n in ns], "involution count")
+    _check_series_against(rec, rhs, [specialized_poly(n, "L", cap=spec.cap).coeff({}) for n in ns],
+                          "L_n(0)")
     rec.note(f"involution counts match exp(t + t^2/2) and L_n(0) for n <= {spec.n_max}")
 
 
@@ -488,18 +441,18 @@ def _random_box_point(rng: random.Random) -> dict[str, Fraction]:
 
 def _run_gen_num(spec: CheckSpec, rec: Recorder, seed_name: str,
                  value_fn: Callable[..., float], label: str) -> None:
-    g = _grammar_G()
+    g = rec.grammar("G")
     order = 25
     coeffs = gen_coeffs(g, g.poly(seed_name), order)
     rng = random.Random(0x5EED + ord(seed_name[0]))
     for trial in range(5):
         point = _random_box_point(rng)
         t = F(rng.randrange(10, 21), 100)
-        tail = abs(coeffs[order].evaluate(point)) * t ** order / _fact(order)
+        tail = abs(coeffs[order].evaluate(point)) * t ** order / math.factorial(order)
         if float(tail) > spec.tol / 10:
             rec.fail(f"trial {trial}: truncation tail {float(tail):.2e} too large for tol")
             continue
-        exact = sum(c.evaluate(point) * t ** n / _fact(n) for n, c in enumerate(coeffs))
+        exact = sum(c.evaluate(point) * t ** n / math.factorial(n) for n, c in enumerate(coeffs))
         floats = {name: float(v) for name, v in point.items()}
         try:
             numeric = value_fn(floats, float(t))
@@ -509,14 +462,6 @@ def _run_gen_num(spec: CheckSpec, rec: Recorder, seed_name: str,
         rec.residual(numeric - float(exact), spec.tol,
                      f"trial {trial} at t={t}: closed form vs series")
     rec.note(f"{label} closed form matches the exact N={order} truncation at 5 box samples")
-
-
-def _run_genp_num(spec: CheckSpec, rec: Recorder) -> None:
-    _run_gen_num(spec, rec, "z", specialfn.gen_p_value, "exterior-scheme")
-
-
-def _run_genq_num(spec: CheckSpec, rec: Recorder) -> None:
-    _run_gen_num(spec, rec, "w", specialfn.gen_q_value, "peak-scheme")
 
 
 def _run_pcf_closed(spec: CheckSpec, rec: Recorder) -> None:
@@ -600,13 +545,21 @@ class CheckDef:
     tol: float | None = None
 
 
+# Oracles are lambdas, so functions of other modules are looked up when a
+# check runs and a rebound one is the one called.
 _REGISTRY_ENTRIES = (
-    CheckDef("thm-P", "exact-symbolic",
-             "D^n(z) equals the exterior-scheme enumeration", _run_thm_p, n_max=8),
-    CheckDef("thm-Q", "exact-symbolic",
-             "D^n(w) equals the peak-scheme enumeration", _run_thm_q, n_max=8),
-    CheckDef("w-cor", "exact-symbolic",
-             "D^n(w) at v=z equals the valley-marked enumeration", _run_w_cor, n_max=8),
+    _derivative("thm-P", "D^n(z) equals the exterior-scheme enumeration", "G", "z", 0,
+                lambda g, n, cap: enumerate_poly(n, "P", cap=cap),
+                "derivative vs enumeration at n={n}",
+                "D^n(z) equals the exterior-scheme enumeration for 0 <= n <= {n_max}"),
+    _derivative("thm-Q", "D^n(w) equals the peak-scheme enumeration", "G", "w", 1,
+                lambda g, n, cap: enumerate_poly(n, "Q", cap=cap),
+                "derivative vs enumeration at n={n}",
+                "D^n(w) equals the peak-scheme enumeration for 1 <= n <= {n_max}"),
+    _derivative("w-cor", "D^n(w) at v=z equals the valley-marked enumeration", "G", "w", 1,
+                lambda g, n, cap: enumerate_poly(n, "W", cap=cap), "v->z specialization at n={n}",
+                "D^n(w) at v=z equals the valley-marked enumeration for 1 <= n <= {n_max}",
+                lhs=lambda poly: poly.substitute({"v": "z"})),
     CheckDef("insertion", "exact-symbolic",
              "insertion children realize the derivative on weights", _run_insertion, n_max=6),
     CheckDef("conv", "exact-symbolic",
@@ -621,40 +574,59 @@ _REGISTRY_ENTRIES = (
              "exhaustive statistic identities and labeling consistency", _run_stats_id, n_max=7),
     CheckDef("grammar-chain", "exact-symbolic",
              "specialization chains onto the reference grammars", _run_grammar_chain, n_max=6),
-    CheckDef("g1-eulerian", "exact-symbolic",
-             "g1 generates the Eulerian polynomials", _run_g1_eulerian, n_max=8),
-    CheckDef("g2-exterior", "exact-symbolic",
-             "g2 generates the exterior-peak distribution", _run_g2_exterior, n_max=8),
-    CheckDef("g3-fu", "exact-symbolic",
-             "g3 generates the four-variable distribution", _run_g3_fu, n_max=8),
-    CheckDef("gessel", "exact-sampled",
-             "exterior-peak generating function", _run_gessel, order=9),
+    _derivative("g1-eulerian", "g1 generates the Eulerian polynomials", "g1", "x", 0,
+                lambda g, n, cap: (specialized_poly(n, "Eulerian", cap=cap).with_vars(g.vars)
+                                   * g.poly("x")),
+                "Eulerian specialization at n={n}",
+                "D^n(x) under g1 at y=1 equals x times the descent polynomial, n <= {n_max}",
+                lhs=lambda poly: poly.substitute({"y": 1})),
+    _derivative("g2-exterior", "g2 generates the exterior-peak distribution", "g2", "x", 0,
+                lambda g, n, cap: (specialized_poly(n, "Gessel-T", cap=cap).with_vars(g.vars)
+                                   .substitute({"x": g.poly("x^2*y^-2")})
+                                   * g.poly("x") * g.poly("y") ** n),
+                "exterior-peak distribution at n={n}",
+                "D^n(x) under g2 equals sum x^(2k+1) y^(n-2k) over exterior-peak counts, "
+                "n <= {n_max}"),
+    _derivative("g3-fu", "g3 generates the four-variable distribution", "g3", "z", 0,
+                lambda g, n, cap: specialized_poly(n, "Fu", cap=cap),
+                "four-variable distribution at n={n}",
+                "D^n(z) under g3 equals the exterior-peak/descent enumeration, n <= {n_max}"),
+    _sampled("gessel", "exterior-peak generating function", "Gessel-T", "rhs_gessel",
+             _line("x"), "exterior-peak closed form matches enumeration at {size} points, "
+             "orders 0..{order} (coefficient degree <= {order} < grid size)"),
     CheckDef("elizalde-noy", "exact-sampled",
              "proper-double-descent generating function", _run_elizalde_noy, order=9),
-    CheckDef("barry-basset", "exact-sampled",
-             "no-proper-double-descent generating function", _run_barry_basset, order=9),
-    CheckDef("fu", "exact-sampled",
-             "four-variable generating function via root sampling", _run_fu, order=9),
-    CheckDef("carlitz-scoville", "exact-sampled",
-             "peak/valley generating function via root sampling", _run_carlitz_scoville, order=9),
-    CheckDef("ln", "exact-sampled",
-             "consecutive-231/321 generating function", _run_ln, order=9),
-    CheckDef("tn", "exact-sampled",
-             "joint exterior-peak-pattern generating function", _run_tn, order=9),
-    CheckDef("tbar", "exact-sampled",
-             "132-pattern marginal generating function", _run_tbar, order=9),
-    CheckDef("ttilde", "exact-sampled",
-             "231-pattern marginal generating function", _run_ttilde, order=9),
+    _sampled("barry-basset", "no-proper-double-descent generating function", "U",
+             "rhs_barry_basset", lambda order: [("U(n,0)", (), {"y": F(0)})],
+             "no-proper-double-descent counts match exp(t/2)/(E - O/2) through t^{order}"),
+    _sampled("fu", "four-variable generating function via root sampling", "Fu", "rhs_fu",
+             _root_pairs, "four-variable closed form matches enumeration on {pairs} root pairs "
+             "x {size} y-samples (y-degree of coefficient n is <= n <= {order})"),
+    _sampled("carlitz-scoville", "peak/valley generating function via root sampling", "F",
+             "rhs_carlitz_scoville", _root_pairs,
+             "peak/valley closed form matches enumeration on {pairs} root pairs x {size} y-samples",
+             start=1),
+    _sampled("ln", "consecutive-231/321 generating function", "L", "rhs_l", _line("x"),
+             "consecutive-231/321 closed form matches enumeration at {size} points"),
+    _sampled("tn", "joint exterior-peak-pattern generating function", "T", "rhs_t", _plane,
+             "joint peak-pattern closed form matches enumeration on a {size}x{size} grid "
+             "(degree <= {order} in each variable)"),
+    _sampled("tbar", "132-pattern marginal generating function", "Tbar", "rhs_tbar", _line("x"),
+             "132-pattern marginal matches enumeration at {size} points"),
+    _sampled("ttilde", "231-pattern marginal generating function", "Ttilde", "rhs_ttilde",
+             _line("y"), "231-pattern marginal matches enumeration at {size} points"),
     CheckDef("kitaev", "exact-sampled",
              "avoider specializations at x=0 and y=0", _run_kitaev, order=9),
     CheckDef("ta", "exact-sampled",
              "alternating-permutation generating function, both parities", _run_ta, order=9),
     CheckDef("involutions", "exact-sampled",
              "involution counts from exp(t + t^2/2) and L_n(0)", _run_involutions, n_max=8),
-    CheckDef("genp-num", "numeric",
-             "main exterior-scheme closed form vs exact series", _run_genp_num, tol=1e-8),
-    CheckDef("genq-num", "numeric",
-             "main peak-scheme closed form vs exact series", _run_genq_num, tol=1e-8),
+    CheckDef("genp-num", "numeric", "main exterior-scheme closed form vs exact series",
+             lambda spec, rec: _run_gen_num(spec, rec, "z", specialfn.gen_p_value,
+                                            "exterior-scheme"), tol=1e-8),
+    CheckDef("genq-num", "numeric", "main peak-scheme closed form vs exact series",
+             lambda spec, rec: _run_gen_num(spec, rec, "w", specialfn.gen_q_value, "peak-scheme"),
+             tol=1e-8),
     CheckDef("pcf-closed", "numeric",
              "integer-order cylinder functions", _run_pcf_closed, tol=1e-12),
     CheckDef("pcf-rec", "numeric",
@@ -674,7 +646,11 @@ def check_ids() -> tuple[str, ...]:
 
 def run_check(check_id: str, n_max: int | None = None, order: int | None = None,
               tol: float | None = None, cap: int = DEFAULT_CAP) -> Report:
-    """Run one registry entry and assemble its report."""
+    """Run one registry entry and assemble its report.
+
+    An exception raised by the check's runner fails the check: the report
+    carries ``"<ExceptionType>: <message>"`` as its counterexample.
+    """
     try:
         definition = REGISTRY[check_id]
     except KeyError:
@@ -692,7 +668,11 @@ def run_check(check_id: str, n_max: int | None = None, order: int | None = None,
     )
     recorder = Recorder()
     start = time.perf_counter()
-    definition.runner(spec, recorder)
+    try:
+        definition.runner(spec, recorder)
+    except Exception as exc:  # one check's error must not end a run of many
+        recorder.passed = False
+        recorder.counterexample = f"{type(exc).__name__}: {exc}"
     elapsed = time.perf_counter() - start
     return Report(
         spec=spec,
@@ -702,7 +682,8 @@ def run_check(check_id: str, n_max: int | None = None, order: int | None = None,
         counterexample=recorder.counterexample,
         max_residual=recorder.max_residual,
         elapsed_s=elapsed,
-        provenance={"grammar_sha256": builtin_hash("G"), "cap": cap},
+        provenance={"grammar_sha256": {name: builtin_hash(name) for name in sorted(recorder.grammars)},
+                    "cap": cap},
     )
 
 

@@ -137,12 +137,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     passed = sum(report.passed for report in reports)
     print(f"{len(reports)} checks run, {passed} passed, {len(reports) - passed} failed")
     if args.json:
+        grammars: dict[str, str] = {}
+        for report in reports:
+            grammars.update(report.provenance["grammar_sha256"])
         document = {
             "options": {
                 "check": args.check, "n_max": args.n_max, "order": args.order,
                 "tol": args.tol, "cap": args.cap,
             },
-            "provenance": reports[0].provenance if reports else {},
+            "provenance": {"grammar_sha256": grammars, "cap": args.cap},
             "checks": [report.to_dict() for report in reports],
             "passed": passed == len(reports),
         }

@@ -205,15 +205,6 @@ def label_peak(perm: Sequence[int]) -> Labeling:
     return Labeling(filled, _weight_from_labels(filled))
 
 
-def label(perm: Sequence[int], scheme: str) -> Labeling:
-    """Dispatch to one of the two labelings: 'exterior' or 'peak'."""
-    if scheme == "exterior":
-        return label_exterior(perm)
-    if scheme == "peak":
-        return label_peak(perm)
-    raise ValueError(f"unknown labeling scheme {scheme!r}; expected 'exterior' or 'peak'")
-
-
 def exterior_weight(perm: Sequence[int]) -> LaurentPoly:
     """Weight monomial of the exterior scheme, straight from the statistics."""
     s = stats(perm)

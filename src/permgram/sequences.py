@@ -16,8 +16,6 @@ from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
-from . import perms
-
 CACHE_ENV = "PERMGRAM_SEQ_CACHE"
 REMOTE_TEMPLATE = "https://oeis.org/{id}/b{digits}.txt"
 
@@ -172,16 +170,3 @@ def compare_file(local_csv: str | Path, ref: str, column: int | None = None,
         name = f"{Path(local_csv).name} (column {column})"
     ref_id, reference = load_reference(ref, fetch=fetch)
     return compare_values(local, reference, name, ref_id)
-
-
-def export_triangle(target: str, n_max: int, path: str | Path,
-                    fmt: str = "csv", cap: int = perms.DEFAULT_CAP) -> list[list[int]]:
-    """Write a statistic triangle as CSV or as a flattened sequence file."""
-    rows = perms.triangle(target, n_max, cap)
-    if fmt == "csv":
-        write_triangle_csv(rows, path)
-    elif fmt == "sequence-file":
-        write_sequence_file(target, flatten(rows), path)
-    else:
-        raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'sequence-file'")
-    return rows

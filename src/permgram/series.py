@@ -16,9 +16,8 @@ E(q) = sum q^n t^{2n}/(2n)!, O(q) = sum q^n t^{2n+1}/(2n+1)!.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
 
@@ -205,15 +204,6 @@ def trig_sqrt(q: Scalar, order: int) -> tuple[Series, Series]:
 # -- theorem right-hand sides --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TheoremRhs:
-    """A closed-form right-hand side at exact rational parameter samples."""
-
-    id: str
-    params: Mapping[str, Fraction] = field(default_factory=dict)
-    order: int = 9
-
-
 def rhs_gessel(x: Scalar, order: int) -> Series:
     """Exterior peaks: 1/(E(1-x) - O(1-x)) with the even/odd pair above."""
     even, odd = trig_sqrt(1 - _frac(x), order)
@@ -328,47 +318,6 @@ def rhs_ta_odd(x: Scalar, y: Scalar, order: int) -> Series:
     return numerator / hyp1f1_ct2(-y / (2 * (x - y)), Fraction(1, 2), c, order)
 
 
-def rhs_ta(x: Scalar, y: Scalar, order: int) -> Series:
-    """Alternating permutations, both parities combined."""
-    return rhs_ta_even(x, y, order) + rhs_ta_odd(x, y, order)
-
-
 def rhs_involutions(order: int) -> Series:
     """exp(t + t^2/2): involution counts as n! times the coefficients."""
     return exp_poly(1, Fraction(1, 2), order)
-
-
-def theorem_rhs(spec: TheoremRhs) -> Series:
-    """Build the right-hand side named by a TheoremRhs record."""
-    p = {name: _frac(value) for name, value in spec.params.items()}
-    order = spec.order
-    try:
-        if spec.id == "gessel":
-            return rhs_gessel(p["x"], order)
-        if spec.id == "elizalde-noy":
-            return rhs_elizalde_noy(p["a"], order)[1]
-        if spec.id == "barry-basset":
-            return rhs_barry_basset(order)
-        if spec.id == "fu":
-            return rhs_fu(p["a"], p["b"], p["y"], order)[1]
-        if spec.id == "carlitz-scoville":
-            return rhs_carlitz_scoville(p["a"], p["b"], p["y"], order)[1]
-        if spec.id == "l":
-            return rhs_l(p["x"], order)
-        if spec.id == "t":
-            return rhs_t(p["x"], p["y"], order)
-        if spec.id == "tbar":
-            return rhs_tbar(p["x"], order)
-        if spec.id == "ttilde":
-            return rhs_ttilde(p["y"], order)
-        if spec.id == "ta":
-            return rhs_ta(p["x"], p["y"], order)
-        if spec.id == "ta-even":
-            return rhs_ta_even(p["x"], p["y"], order)
-        if spec.id == "ta-odd":
-            return rhs_ta_odd(p["x"], p["y"], order)
-        if spec.id == "involutions":
-            return rhs_involutions(order)
-    except KeyError as exc:
-        raise SamplingError(f"builder {spec.id!r} is missing parameter {exc}") from None
-    raise SamplingError(f"unknown theorem id {spec.id!r}")

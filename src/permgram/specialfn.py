@@ -1,4 +1,4 @@
-"""Floating-point evaluation of Gamma, 1F1, erf, and the Weber parabolic
+"""Floating-point evaluation of Gamma, 1F1 and the Weber parabolic
 cylinder function, plus the two main closed forms that cannot be checked
 exactly because their constants involve Gamma values.
 
@@ -74,10 +74,6 @@ def rgamma(x: Real) -> float:
     if x <= 0 and float(x).is_integer():
         return 0.0
     return 1.0 / math.gamma(x)
-
-
-def erf(x: Real) -> float:
-    return math.erf(x)
 
 
 def hyp1f1(a: Real, b: Real, z: ComplexLike, ctx: EvalContext = DEFAULT_CONTEXT) -> complex:
@@ -215,13 +211,3 @@ def gen_q_value(params: Mapping[str, Real], t: float, ctx: EvalContext = DEFAULT
     second = (g["coef_a"] * g["delta"] * pcf_d((g["x"] * g["v"] - y * w) / g["d2"], g["arg_del"], ctx)
               + g["coef_b"] * g["dhat"] * pcf_d((g["z"] * g["u"] - y * w) / (-g["d2"]), g["arg_hat"], ctx))
     return _require_real((first + second) / g["denominator"], ctx)
-
-
-def theorem_rhs_num(which: str, params: Mapping[str, Real], t: float,
-                    ctx: EvalContext = DEFAULT_CONTEXT) -> float:
-    """Dispatch for the two numeric closed forms: 'GenP' or 'GenQ'."""
-    if which == "GenP":
-        return gen_p_value(params, t, ctx)
-    if which == "GenQ":
-        return gen_q_value(params, t, ctx)
-    raise ValueError(f"unknown numeric closed form {which!r}")

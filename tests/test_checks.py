@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from permgram import series
 from permgram.algebra import parse_poly
-from permgram.checks import (REGISTRY, Recorder, UnknownCheckError, check_ids,
-                             run_check, run_many)
+from permgram.checks import (EN_ROOTS, REGISTRY, X_GRID, Recorder, UnknownCheckError,
+                             check_ids, en_roots, run_check, run_many, x_grid, y_grid)
+from permgram.grammar import builtin_hash
 
 EXPECTED_IDS = {
     "thm-P", "thm-Q", "w-cor", "insertion", "conv", "ode", "gen-x1z", "quotient",
@@ -83,6 +85,41 @@ def test_overrides_only_apply_where_meaningful():
 def test_run_many_preserves_registry_order():
     reports = run_many(["conv", "thm-P"], n_max=3)
     assert [r.spec.check_id for r in reports] == ["thm-P", "conv"]
+
+
+def test_runner_error_fails_only_its_check():
+    gessel, pcf = run_many(["gessel", "pcf-closed"], order=6, cap=5)
+    assert not gessel.passed
+    assert gessel.counterexample.startswith("EnumerationCapError: ")
+    assert pcf.passed
+
+
+def test_provenance_names_the_grammars_each_check_used():
+    uses = {"thm-P": "G", "thm-Q": "G", "w-cor": "G", "insertion": "G", "ode": "G",
+            "gen-x1z": "G", "quotient": "G", "genp-num": "G", "genq-num": "G",
+            "grammar-chain": "G g1 g2 g3", "g1-eulerian": "g1", "g2-exterior": "g2",
+            "g3-fu": "g3"}
+    for report in run_many(list(check_ids()), n_max=3, order=3):
+        names = uses.get(report.spec.check_id, "").split()
+        assert report.passed, report.spec.check_id
+        assert report.provenance["grammar_sha256"] == {name: builtin_hash(name) for name in names}
+
+
+def test_sample_grids_cover_the_degree_bound():
+    for order in range(17):
+        xs, ys, roots = x_grid(order), y_grid(order), en_roots(order)
+        for grid in (xs, ys, roots, [a + 1 / a - 1 for a in roots]):
+            assert len(set(grid)) == len(grid) >= max(10, order + 1)
+        assert not set(xs) & set(ys)
+        assert xs[:10] == X_GRID and roots[:10] == EN_ROOTS
+    assert x_grid(9) == X_GRID and len(x_grid(16)) == 17
+
+
+def test_sampled_check_can_fail(monkeypatch):
+    monkeypatch.setattr(series, "rhs_ttilde", series.rhs_tbar)
+    report = run_check("ttilde", order=5)
+    assert not report.passed
+    assert "coefficient of t^" in report.counterexample
 
 
 def test_run_many_parallel():

@@ -6,7 +6,10 @@ import json
 
 import pytest
 
+from permgram import perms
 from permgram.cli import main
+from permgram.grammar import builtin_hash
+from permgram.sequences import flatten, read_sequence_file, read_triangle_csv
 
 
 def test_derive_prints_polynomial(capsys):
@@ -52,6 +55,14 @@ def test_enumerate_csv_export(tmp_path, capsys):
     assert main(["enumerate", "--family", "P", "--n", "3", "--csv", str(out)]) == 2
 
 
+def test_enumerate_csv_and_seq_roundtrip(tmp_path, capsys):
+    csv, seq = tmp_path / "a.csv", tmp_path / "a.seq"
+    assert main(["enumerate", "--family", "U", "--n", "5", "--csv", str(csv), "--seq", str(seq)]) == 0
+    rows = perms.triangle("U", 5)
+    assert read_triangle_csv(csv) == rows
+    assert read_sequence_file(seq) == ("U", flatten(rows))
+
+
 def test_verify_single_check(capsys):
     assert main(["verify", "thm-P", "--n-max", "4"]) == 0
     out = capsys.readouterr().out
@@ -71,11 +82,21 @@ def test_verify_list(capsys):
 
 def test_verify_json_report(tmp_path, capsys):
     report_path = tmp_path / "report.json"
-    assert main(["verify", "conv", "--n-max", "4", "--json", str(report_path)]) == 0
+    assert main(["verify", "g1-eulerian", "--n-max", "4", "--json", str(report_path)]) == 0
     document = json.loads(report_path.read_text())
     assert document["passed"] is True
-    assert document["checks"][0]["id"] == "conv"
-    assert document["provenance"]["grammar_sha256"]
+    assert document["checks"][0]["id"] == "g1-eulerian"
+    grammars = {"g1": builtin_hash("g1")}
+    assert document["checks"][0]["provenance"]["grammar_sha256"] == grammars
+    assert document["provenance"] == {"grammar_sha256": grammars, "cap": 9}
+
+
+def test_verify_runner_error_is_a_failed_report(tmp_path, capsys):
+    report_path = tmp_path / "report.json"
+    assert main(["verify", "gessel", "--order", "6", "--cap", "5", "--json", str(report_path)]) == 1
+    document = json.loads(report_path.read_text())
+    assert document["passed"] is False
+    assert document["checks"][0]["counterexample"].startswith("EnumerationCapError: n=6")
 
 
 def test_verify_json_deterministic(tmp_path, capsys):

@@ -74,14 +74,6 @@ def test_labelings_consistent_with_weight_formulas():
                 assert label_peak(perm).weight == peak_weight(perm)
 
 
-def test_label_dispatcher():
-    from permgram.perms import label
-    assert label((2, 1), "exterior").labels == ("x", "v", "z")
-    assert label((2, 1), "peak").labels == ("x", "v", "y")
-    with pytest.raises(ValueError):
-        label((2, 1), "sideways")
-
-
 def test_labeling_totality_and_consistency_n8():
     # the peak labeling assigns every position exactly one label and its
     # product matches the weight formula on all of S_8

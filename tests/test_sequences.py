@@ -6,7 +6,7 @@ import pytest
 
 from permgram import perms
 from permgram.sequences import (SequenceFormatError, cached_sequence, compare_file,
-                                compare_values, export_triangle, flatten,
+                                compare_values, flatten,
                                 parse_sequence_text, read_sequence_file,
                                 read_triangle_csv, write_sequence_file,
                                 write_triangle_csv)
@@ -90,12 +90,3 @@ def test_compare_file_column(tmp_path):
     write_triangle_csv(perms.triangle("L", 7), local)
     assert compare_file(local, "A000085", column=0).passed
     assert not compare_file(local, "A000085", column=1).passed
-
-
-def test_export_triangle_formats(tmp_path):
-    rows = export_triangle("U", 5, tmp_path / "u.csv", fmt="csv")
-    assert read_triangle_csv(tmp_path / "u.csv") == rows
-    export_triangle("U", 5, tmp_path / "u.seq", fmt="sequence-file")
-    assert read_sequence_file(tmp_path / "u.seq") == ("U", flatten(rows))
-    with pytest.raises(ValueError):
-        export_triangle("U", 5, tmp_path / "u.bin", fmt="parquet")

@@ -8,11 +8,10 @@ from fractions import Fraction as F
 import pytest
 
 from permgram.perms import specialized_poly
-from permgram.series import (SamplingError, Series, TheoremRhs, exp_poly,
-                             hyp1f1_ct2, rhs_barry_basset, rhs_carlitz_scoville,
-                             rhs_elizalde_noy, rhs_fu, rhs_gessel, rhs_involutions,
-                             rhs_l, rhs_t, rhs_ta, rhs_ta_even, rhs_ta_odd,
-                             rhs_tbar, rhs_ttilde, theorem_rhs, trig_sqrt)
+from permgram.series import (SamplingError, Series, exp_poly, hyp1f1_ct2,
+                             rhs_barry_basset, rhs_carlitz_scoville, rhs_elizalde_noy,
+                             rhs_fu, rhs_gessel, rhs_involutions, rhs_l, rhs_t,
+                             rhs_ta_even, rhs_ta_odd, rhs_tbar, rhs_ttilde, trig_sqrt)
 
 
 def geometric(order):
@@ -172,7 +171,9 @@ def test_t_builders_reject_x_equal_y():
     with pytest.raises(SamplingError):
         rhs_t(1, 1, 5)
     with pytest.raises(SamplingError):
-        rhs_ta(F(2, 3), F(2, 3), 5)
+        rhs_ta_even(F(2, 3), F(2, 3), 5)
+    with pytest.raises(SamplingError):
+        rhs_ta_odd(F(2, 3), F(2, 3), 5)
 
 
 def test_carlitz_scoville_starts_at_t():
@@ -184,17 +185,6 @@ def test_barry_basset_counts():
     series = rhs_barry_basset(7)
     counts = [series[n] * math.factorial(n) for n in range(8)]
     assert counts == [1, 1, 2, 5, 17, 70, 349, 2017]
-
-
-def test_theorem_rhs_dispatch():
-    spec = TheoremRhs("gessel", {"x": F(2)}, order=6)
-    assert theorem_rhs(spec) == rhs_gessel(2, 6)
-    assert theorem_rhs(TheoremRhs("involutions", {}, 5)) == rhs_involutions(5)
-    assert theorem_rhs(TheoremRhs("ta", {"x": F(2), "y": F(3)}, 6)) == rhs_ta(2, 3, 6)
-    with pytest.raises(SamplingError):
-        theorem_rhs(TheoremRhs("no-such-theorem", {}, 3))
-    with pytest.raises(SamplingError):
-        theorem_rhs(TheoremRhs("gessel", {}, 3))
 
 
 def test_rendering():

@@ -9,8 +9,8 @@ import pytest
 
 from permgram.grammar import builtin, gen_coeffs
 from permgram.specialfn import (ConvergenceError, EvalContext, GammaPoleError,
-                                erf, gamma, gen_p_value, gen_q_value, hyp1f1,
-                                pcf_d, pcf_d_derivs, rgamma, theorem_rhs_num)
+                                gamma, gen_p_value, gen_q_value, hyp1f1, pcf_d,
+                                pcf_d_derivs, rgamma)
 
 
 def test_gamma_and_rgamma():
@@ -24,12 +24,6 @@ def test_gamma_and_rgamma():
         gamma(0)
     with pytest.raises(GammaPoleError):
         gamma(-2)
-
-
-def test_erf_values():
-    assert erf(0) == 0.0
-    assert erf(-0.9) == -erf(0.9)
-    assert abs(erf(1) - 0.842700792949715) < 1e-14
 
 
 def test_hyp1f1_against_exp():
@@ -116,13 +110,6 @@ def test_gen_value_guards():
         gen_p_value(degenerate, 0.1)
     with pytest.raises(ValueError):
         gen_p_value(SAMPLE, 0.9)  # outside the |t| radius
-    with pytest.raises(ValueError):
-        theorem_rhs_num("GenX", SAMPLE, 0.1)
-
-
-def test_theorem_rhs_num_dispatch():
-    assert theorem_rhs_num("GenP", SAMPLE, 0.1) == gen_p_value(SAMPLE, 0.1)
-    assert theorem_rhs_num("GenQ", SAMPLE, 0.1) == gen_q_value(SAMPLE, 0.1)
 
 
 def test_gen_q_is_log_derivative_of_gen_p():
