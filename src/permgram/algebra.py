@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -29,47 +29,14 @@ class AlgebraError(ValueError):
     half-integer evaluation, invalid substitution, bad expression text."""
 
 
-@dataclass(frozen=True, order=True)
-class HalfInt:
-    """An exponent n/2 stored as the integer ``twice = n``."""
-
-    twice: int
-
-    @classmethod
-    def of(cls, value: Union[int, Fraction, "HalfInt"]) -> "HalfInt":
-        """Coerce an int, a Fraction with denominator 1 or 2, or a HalfInt."""
-        if isinstance(value, HalfInt):
-            return value
-        if isinstance(value, int):
-            return cls(2 * value)
-        frac = Fraction(value)
-        if frac.denominator not in (1, 2):
-            raise AlgebraError(f"exponent {frac} is not a half-integer")
-        return cls(int(frac * 2))
-
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.twice, 2)
-
-    def __add__(self, other: "HalfInt") -> "HalfInt":
-        return HalfInt(self.twice + other.twice)
-
-    def __sub__(self, other: "HalfInt") -> "HalfInt":
-        return HalfInt(self.twice - other.twice)
-
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.twice)
-
-    def __bool__(self) -> bool:
-        return self.twice != 0
-
-    def __str__(self) -> str:
-        if self.twice % 2 == 0:
-            return str(self.twice // 2)
-        return f"{self.twice}/2"
+def _twice(value: Scalar) -> int:
+    """Twice an integer or half-integer exponent, as an int."""
+    if isinstance(value, int):
+        return 2 * value
+    frac = Fraction(value)
+    if frac.denominator not in (1, 2):
+        raise AlgebraError(f"exponent {frac} is not a half-integer")
+    return int(frac * 2)
 
 
 def _exp_str(twice: int) -> str:
@@ -87,17 +54,6 @@ class Monomial:
         if len(self.vars) != len(self.twice):
             raise AlgebraError("exponent vector does not match variable set")
 
-    def exponent(self, name: str) -> HalfInt:
-        try:
-            return HalfInt(self.twice[self.vars.index(name)])
-        except ValueError:
-            raise AlgebraError(f"unknown variable {name!r}") from None
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        if self.vars != other.vars:
-            raise AlgebraError("mismatched variable sets")
-        return Monomial(self.vars, tuple(a + b for a, b in zip(self.twice, other.twice)))
-
     def __str__(self) -> str:
         parts = []
         for name, t in zip(self.vars, self.twice):
@@ -105,6 +61,16 @@ class Monomial:
                 continue
             parts.append(name if t == 2 else f"{name}^{_exp_str(t)}")
         return "*".join(parts) if parts else "1"
+
+
+def _key(vars: tuple[str, ...], exponents: Mapping[str, Scalar]) -> tuple[int, ...]:
+    """Doubled-exponent key of the monomial with these exponents over ``vars``."""
+    key = [0] * len(vars)
+    for name, exp in exponents.items():
+        if name not in vars:
+            raise AlgebraError(f"unknown variable {name!r}")
+        key[vars.index(name)] = _twice(exp)
+    return tuple(key)
 
 
 def _as_fraction(value: Scalar) -> Fraction:
@@ -149,24 +115,15 @@ class LaurentPoly:
 
     @classmethod
     def variable(cls, vars: Sequence[str], name: str,
-                 exponent: Union[int, Fraction, HalfInt] = 1) -> "LaurentPoly":
+                 exponent: Scalar = 1) -> "LaurentPoly":
         vars = tuple(vars)
-        if name not in vars:
-            raise AlgebraError(f"unknown variable {name!r}")
-        key = [0] * len(vars)
-        key[vars.index(name)] = HalfInt.of(exponent).twice
-        return cls(vars, {tuple(key): Fraction(1)})
+        return cls(vars, {_key(vars, {name: exponent}): Fraction(1)})
 
     @classmethod
-    def monomial(cls, vars: Sequence[str], exponents: Mapping[str, Union[int, Fraction, HalfInt]],
+    def monomial(cls, vars: Sequence[str], exponents: Mapping[str, Scalar],
                  coeff: Scalar = 1) -> "LaurentPoly":
         vars = tuple(vars)
-        key = [0] * len(vars)
-        for name, exp in exponents.items():
-            if name not in vars:
-                raise AlgebraError(f"unknown variable {name!r}")
-            key[vars.index(name)] = HalfInt.of(exp).twice
-        return cls(vars, {tuple(key): _as_fraction(coeff)})
+        return cls(vars, {_key(vars, exponents): _as_fraction(coeff)})
 
     # -- basic queries -------------------------------------------------
 
@@ -176,27 +133,9 @@ class LaurentPoly:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def __iter__(self) -> Iterator[tuple[Monomial, Fraction]]:
-        for key in sorted(self.terms):
-            yield Monomial(self.vars, key), self.terms[key]
-
-    def coeff(self, monomial: Union[Monomial, Mapping[str, Union[int, Fraction, HalfInt]]]) -> Fraction:
-        """Coefficient of a monomial (0 when absent)."""
-        if isinstance(monomial, Monomial):
-            if monomial.vars != self.vars:
-                raise AlgebraError("mismatched variable sets")
-            key = monomial.twice
-        else:
-            built = [0] * len(self.vars)
-            for name, exp in monomial.items():
-                if name not in self.vars:
-                    raise AlgebraError(f"unknown variable {name!r}")
-                built[self.vars.index(name)] = HalfInt.of(exp).twice
-            key = tuple(built)
-        return self.terms.get(key, Fraction(0))
-
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
+    def coeff(self, exponents: Mapping[str, Scalar]) -> Fraction:
+        """Coefficient of the monomial with these exponents (0 when absent)."""
+        return self.terms.get(_key(self.vars, exponents), Fraction(0))
 
     # -- ring operations ------------------------------------------------
 

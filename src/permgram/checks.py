@@ -69,8 +69,8 @@ class Report:
     elapsed_s: float
     provenance: dict
 
-    def to_dict(self, with_timing: bool = True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "id": self.spec.check_id,
             "mode": self.spec.mode,
             "n_max": self.spec.n_max,
@@ -83,10 +83,8 @@ class Report:
             "counterexample": self.counterexample,
             "max_residual": self.max_residual,
             "provenance": dict(self.provenance),
+            "elapsed_s": round(self.elapsed_s, 3),
         }
-        if with_timing:
-            out["elapsed_s"] = round(self.elapsed_s, 3)
-        return out
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -271,7 +269,7 @@ def _derivative(check_id: str, description: str, grammar: str, seed: str, first:
 def _run_insertion(spec: CheckSpec, rec: Recorder) -> None:
     g = rec.grammar("G")
     for n in range(spec.n_max + 1):
-        for perm in permutations(n):
+        for perm in permutations(n, spec.cap):
             total = LaurentPoly.zero(WEIGHT_VARS)
             for child in perms.insertion_children(perm):
                 total = total + label_exterior(child).weight
@@ -346,7 +344,7 @@ def _run_quotient(spec: CheckSpec, rec: Recorder) -> None:
 def _run_stats_id(spec: CheckSpec, rec: Recorder) -> None:
     pat231, pat321 = (2, 3, 1), (3, 2, 1)
     for n in range(spec.n_max + 1):
-        for perm in permutations(n):
+        for perm in permutations(n, spec.cap):
             s = stats(perm)
             rec.equal(perms.consecutive_count(perm, pat231) + perms.consecutive_count(perm, pat321),
                       s.ep2 + s.pdd, f"consecutive 231+321 vs ep2+pdd at {perm}")
@@ -423,7 +421,8 @@ def _run_ta(spec: CheckSpec, rec: Recorder) -> None:
 def _run_involutions(spec: CheckSpec, rec: Recorder) -> None:
     rhs = rhs_involutions(spec.n_max)
     ns = range(spec.n_max + 1)
-    _check_series_against(rec, rhs, [F(involution_count(n)) for n in ns], "involution count")
+    _check_series_against(rec, rhs, [F(involution_count(n, spec.cap)) for n in ns],
+                          "involution count")
     _check_series_against(rec, rhs, [specialized_poly(n, "L", cap=spec.cap).coeff({}) for n in ns],
                           "L_n(0)")
     rec.note(f"involution counts match exp(t + t^2/2) and L_n(0) for n <= {spec.n_max}")

@@ -6,8 +6,8 @@ Subcommands:
 * ``enumerate`` print an exhaustive distribution polynomial, optionally
   exporting the integer triangle of a univariate family as CSV
 * ``verify``    run identity checks from the registry (``all`` or one id)
-* ``oeis``      compare an exported triangle against a cached or fetched
-  reference sequence
+* ``oeis``      compare an exported triangle against a reference sequence
+  file or a cached one
 
 Exit codes: 0 all good, 1 at least one check or comparison failed,
 2 usage or configuration error.
@@ -67,11 +67,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     oeis = sub.add_parser("oeis", help="compare a triangle CSV against a reference sequence")
     oeis.add_argument("--local", required=True, help="triangle CSV produced by 'enumerate --csv'")
-    oeis.add_argument("--ref", required=True, help="sequence file path or cached/remote id")
+    oeis.add_argument("--ref", required=True, help="sequence file path or cached id")
     oeis.add_argument("--column", type=int, default=None,
                       help="compare a single column instead of the flattened triangle")
-    oeis.add_argument("--fetch", action="store_true",
-                      help="allow fetching the reference over the network")
     return parser
 
 
@@ -156,10 +154,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_oeis(args: argparse.Namespace) -> int:
     try:
-        comparison = sequences.compare_file(args.local, args.ref,
-                                            column=args.column, fetch=args.fetch)
+        comparison = sequences.compare_file(args.local, args.ref, column=args.column)
     except (OSError, sequences.SequenceFormatError) as exc:
-        # covers missing files, missing cache entries, and fetch failures
+        # covers missing files and missing cache entries
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     print(comparison.describe())

@@ -201,7 +201,7 @@ def builtin(name: str) -> Grammar:
     return parse_grammar(builtin_source(name), name=name)
 
 
-def builtin_hash(name: str = "G") -> str:
+def builtin_hash(name: str) -> str:
     """SHA-256 of the grammar file backing a built-in (report provenance)."""
     return hashlib.sha256(builtin_source(name).encode("utf-8")).hexdigest()
 

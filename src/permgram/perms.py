@@ -28,7 +28,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .algebra import LaurentPoly
 
@@ -39,12 +39,6 @@ WEIGHT_VARS = ("x", "y", "z", "w", "u", "v")
 
 #: Largest n enumerated by default; 9! permutations stay sub-10s in CPython.
 DEFAULT_CAP = 9
-
-ENUMERATED_FAMILIES = ("P", "Q", "W")
-SPECIALIZED_TARGETS = (
-    "T", "L", "U", "F", "TA", "Tbar", "Ttilde", "Eulerian", "Gessel-T", "Fu",
-)
-TRIANGLE_TARGETS = ("L", "U", "Tbar", "Ttilde", "Eulerian", "Gessel-T")
 
 
 class EnumerationCapError(ValueError):
@@ -72,7 +66,17 @@ def check_permutation(values: Sequence[int]) -> Perm:
     return perm
 
 
-def permutations(n: int) -> Iterator[Perm]:
+def _require_cap(n: int, cap: int) -> None:
+    """The one enforcement of the enumeration cap."""
+    if n > cap:
+        raise EnumerationCapError(
+            f"n={n} exceeds the enumeration cap {cap}; raise the cap explicitly "
+            "to spend the runtime")
+
+
+def permutations(n: int, cap: int = DEFAULT_CAP) -> Iterator[Perm]:
+    """Every permutation of 1..n; n above ``cap`` raises EnumerationCapError."""
+    _require_cap(n, cap)
     return itertools.permutations(range(1, n + 1))
 
 
@@ -205,13 +209,18 @@ def label_peak(perm: Sequence[int]) -> Labeling:
     return Labeling(filled, _weight_from_labels(filled))
 
 
+def _exterior_w(s: StatVector, n: int) -> int:
+    """Positions of a permutation of [n] labeled w in the exterior scheme."""
+    return n - 2 * (s.ep1 + s.ep2) - s.pdd
+
+
 def exterior_weight(perm: Sequence[int]) -> LaurentPoly:
     """Weight monomial of the exterior scheme, straight from the statistics."""
     s = stats(perm)
     n = len(tuple(perm))
     return LaurentPoly.monomial(WEIGHT_VARS, {
         "x": s.ep1, "v": s.ep1, "u": s.ep2, "z": s.ep2 + 1,
-        "y": s.pdd, "w": n - 2 * (s.ep1 + s.ep2) - s.pdd,
+        "y": s.pdd, "w": _exterior_w(s, n),
     })
 
 
@@ -261,10 +270,10 @@ def consecutive_count(perm: Sequence[int], pattern: Sequence[int]) -> int:
     )
 
 
-def involution_count(n: int) -> int:
+def involution_count(n: int, cap: int = DEFAULT_CAP) -> int:
     """Number of self-inverse permutations of [n], by direct check."""
     count = 0
-    for perm in permutations(n):
+    for perm in permutations(n, cap):
         if all(perm[perm[i] - 1] == i + 1 for i in range(n)):
             count += 1
     return count
@@ -277,7 +286,7 @@ _STAT_COUNTS: dict[int, Counter] = {}
 
 def _sweep(n: int) -> Counter:
     counts: Counter = Counter()
-    for perm in permutations(n):
+    for perm in itertools.permutations(range(1, n + 1)):
         counts[stats(perm)] += 1
     return counts
 
@@ -299,10 +308,7 @@ def stat_counts(n: int, cap: int = DEFAULT_CAP, jobs: int = 1) -> Mapping[StatVe
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > cap:
-        raise EnumerationCapError(
-            f"n={n} exceeds the enumeration cap {cap}; raise the cap explicitly "
-            "to spend the runtime")
+    _require_cap(n, cap)
     if n not in _STAT_COUNTS:
         if jobs > 1 and n >= 2:
             merged: Counter = Counter()
@@ -315,6 +321,54 @@ def stat_counts(n: int, cap: int = DEFAULT_CAP, jobs: int = 1) -> Mapping[StatVe
     return _STAT_COUNTS[n]
 
 
+class _Distribution(NamedTuple):
+    vars: tuple[str, ...]
+    first_n: int
+    #: Exponents of one statistic vector of S_n, or None to leave it out.
+    exponents: Callable[[StatVector, int], "tuple[int, ...] | None"]
+
+
+_DISTRIBUTIONS = {
+    "P": _Distribution(WEIGHT_VARS, 0, lambda s, n: (
+        s.ep1, s.pdd, s.ep2 + 1, _exterior_w(s, n), s.ep2, s.ep1)),
+    "Q": _Distribution(WEIGHT_VARS, 1, lambda s, n: (s.p1, s.dd, s.p2, s.dr, s.p2, s.p1)),
+    "W": _Distribution(WEIGHT_VARS, 1, lambda s, n: (s.p1, s.dd, s.valleys + 1, s.dr, s.p2, 0)),
+    "T": _Distribution(("x", "y"), 0, lambda s, n: (s.ep1, s.ep2)),
+    "L": _Distribution(("x",), 0, lambda s, n: (s.ep2 + s.pdd,)),
+    "U": _Distribution(("y",), 0, lambda s, n: (s.pdd,)),
+    "F": _Distribution(("x", "y", "z", "w"), 1,
+                       lambda s, n: (s.p1 + s.p2 - 1, s.dd, s.valleys, s.dr)),
+    "TA": _Distribution(("x", "y"), 0, lambda s, n: (s.ep1, s.ep2) if s.alternating else None),
+    "Tbar": _Distribution(("x",), 0, lambda s, n: (s.ep1,)),
+    "Ttilde": _Distribution(("y",), 0, lambda s, n: (s.ep2,)),
+    "Eulerian": _Distribution(("x",), 0, lambda s, n: (s.des,)),
+    "Gessel-T": _Distribution(("x",), 0, lambda s, n: (s.ep1 + s.ep2,)),
+    "Fu": _Distribution(("x", "y", "z", "w"), 0, lambda s, n: (
+        s.ep1 + s.ep2, s.pdd, s.ep1 + s.ep2 + 1, _exterior_w(s, n))),
+}
+
+ENUMERATED_FAMILIES = tuple(name for name, dist in _DISTRIBUTIONS.items()
+                            if dist.vars == WEIGHT_VARS)
+SPECIALIZED_TARGETS = tuple(name for name in _DISTRIBUTIONS if name not in ENUMERATED_FAMILIES)
+TRIANGLE_TARGETS = tuple(name for name in SPECIALIZED_TARGETS
+                         if len(_DISTRIBUTIONS[name].vars) == 1)
+
+
+def _distribution(kind: str, name: str, n: int, cap: int, jobs: int) -> LaurentPoly:
+    """Sum over S_n of the monomials the table gives ``name``."""
+    dist = _DISTRIBUTIONS[name]
+    if dist.first_n and n < dist.first_n:  # stat_counts rejects negative n itself
+        raise ValueError(f"{kind} {name} is defined for n >= {dist.first_n}")
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for s, count in stat_counts(n, cap, jobs).items():
+        exps = dist.exponents(s, n)
+        if exps is None:
+            continue
+        key = tuple(2 * e for e in exps)
+        terms[key] = terms.get(key, Fraction(0)) + count
+    return LaurentPoly(dist.vars, terms)
+
+
 def enumerate_poly(n: int, family: str, cap: int = DEFAULT_CAP, jobs: int = 1) -> LaurentPoly:
     """Exact sum of weights over S_n for the P, Q, or W family.
 
@@ -324,33 +378,7 @@ def enumerate_poly(n: int, family: str, cap: int = DEFAULT_CAP, jobs: int = 1) -
     """
     if family not in ENUMERATED_FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {ENUMERATED_FAMILIES}")
-    if family in ("Q", "W") and n < 1:
-        raise ValueError(f"family {family} is defined for n >= 1")
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for s, count in stat_counts(n, cap, jobs).items():
-        if family == "P":
-            exps = (s.ep1, s.pdd, s.ep2 + 1, n - 2 * (s.ep1 + s.ep2) - s.pdd, s.ep2, s.ep1)
-        elif family == "Q":
-            exps = (s.p1, s.dd, s.p2, s.dr, s.p2, s.p1)
-        else:
-            exps = (s.p1, s.dd, s.valleys + 1, s.dr, s.p2, 0)
-        key = tuple(2 * e for e in exps)
-        terms[key] = terms.get(key, Fraction(0)) + count
-    return LaurentPoly(WEIGHT_VARS, terms)
-
-
-_TARGET_VARS = {
-    "T": ("x", "y"),
-    "L": ("x",),
-    "U": ("y",),
-    "F": ("x", "y", "z", "w"),
-    "TA": ("x", "y"),
-    "Tbar": ("x",),
-    "Ttilde": ("y",),
-    "Eulerian": ("x",),
-    "Gessel-T": ("x",),
-    "Fu": ("x", "y", "z", "w"),
-}
+    return _distribution("family", family, n, cap, jobs)
 
 
 def specialized_poly(n: int, target: str, cap: int = DEFAULT_CAP, jobs: int = 1) -> LaurentPoly:
@@ -366,38 +394,9 @@ def specialized_poly(n: int, target: str, cap: int = DEFAULT_CAP, jobs: int = 1)
     Gessel-T  exterior peaks regardless of pattern (x)
     Fu      exterior peaks (x, paired z) and proper double descents (y)
     """
-    if target not in _TARGET_VARS:
+    if target not in SPECIALIZED_TARGETS:
         raise ValueError(f"unknown target {target!r}; expected one of {SPECIALIZED_TARGETS}")
-    if target == "F" and n < 1:
-        raise ValueError("target F is defined for n >= 1")
-    vars = _TARGET_VARS[target]
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for s, count in stat_counts(n, cap, jobs).items():
-        if target == "T":
-            key = (2 * s.ep1, 2 * s.ep2)
-        elif target == "L":
-            key = (2 * (s.ep2 + s.pdd),)
-        elif target == "U":
-            key = (2 * s.pdd,)
-        elif target == "F":
-            key = (2 * (s.p1 + s.p2 - 1), 2 * s.dd, 2 * s.valleys, 2 * s.dr)
-        elif target == "TA":
-            if not s.alternating:
-                continue
-            key = (2 * s.ep1, 2 * s.ep2)
-        elif target == "Tbar":
-            key = (2 * s.ep1,)
-        elif target == "Ttilde":
-            key = (2 * s.ep2,)
-        elif target == "Eulerian":
-            key = (2 * s.des,)
-        elif target == "Gessel-T":
-            key = (2 * (s.ep1 + s.ep2),)
-        else:  # Fu
-            ep = s.ep1 + s.ep2
-            key = (2 * ep, 2 * s.pdd, 2 * (ep + 1), 2 * (n - 2 * ep - s.pdd))
-        terms[key] = terms.get(key, Fraction(0)) + count
-    return LaurentPoly(vars, terms)
+    return _distribution("target", target, n, cap, jobs)
 
 
 def triangle(target: str, n_max: int, cap: int = DEFAULT_CAP) -> list[list[int]]:

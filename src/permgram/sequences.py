@@ -3,21 +3,19 @@
 Triangles are written as ragged CSV, one row per n.  Reference sequences
 live in plain-text files ``<id>: v0 v1 v2 ...`` (``#`` comments allowed); a
 small cache ships with the package and ``PERMGRAM_SEQ_CACHE`` points at an
-alternative directory.  Remote fetching is opt-in and reads the b-file for
-an id from the sequence archive.
+alternative directory.  A reference is named either by the path of such a
+file or by the id of a cached one; nothing is read from the network.
 """
 
 from __future__ import annotations
 
 import os
-import urllib.request
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
 CACHE_ENV = "PERMGRAM_SEQ_CACHE"
-REMOTE_TEMPLATE = "https://oeis.org/{id}/b{digits}.txt"
 
 
 class SequenceFormatError(ValueError):
@@ -94,36 +92,11 @@ def cached_sequence(seq_id: str) -> tuple[str, list[int]]:
     raise FileNotFoundError(f"no cached sequence {seq_id!r} (set {CACHE_ENV} to add caches)")
 
 
-def fetch_remote(seq_id: str, timeout: float = 30.0) -> tuple[str, list[int]]:
-    """Download and parse the archive b-file (lines of ``index value``)."""
-    url = REMOTE_TEMPLATE.format(id=seq_id, digits=seq_id.lstrip("A"))
-    with urllib.request.urlopen(url, timeout=timeout) as response:
-        text = response.read().decode("utf-8", errors="replace")
-    values = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise SequenceFormatError(f"unexpected b-file line {line!r}", lineno)
-        values.append(int(parts[1]))
-    if not values:
-        raise SequenceFormatError("b-file contained no terms")
-    return seq_id, values
-
-
-def load_reference(ref: str, fetch: bool = False) -> tuple[str, list[int]]:
-    """Resolve a reference: an existing file path, a cached id, or (when
-    fetching is enabled) a remote id."""
+def load_reference(ref: str) -> tuple[str, list[int]]:
+    """Resolve a reference: an existing file path, else a cached id."""
     if Path(ref).exists():
         return read_sequence_file(ref)
-    try:
-        return cached_sequence(ref)
-    except FileNotFoundError:
-        if fetch:
-            return fetch_remote(ref)
-        raise
+    return cached_sequence(ref)
 
 
 @dataclass
@@ -157,8 +130,8 @@ def compare_values(local: Sequence[int], reference: Sequence[int],
     return SequenceComparison(local_name, reference_id, overlap, mismatches)
 
 
-def compare_file(local_csv: str | Path, ref: str, column: int | None = None,
-                 fetch: bool = False) -> SequenceComparison:
+def compare_file(local_csv: str | Path, ref: str,
+                 column: int | None = None) -> SequenceComparison:
     """Compare a triangle CSV (flattened row-major, or one column) against a
     reference sequence."""
     rows = read_triangle_csv(local_csv)
@@ -168,5 +141,5 @@ def compare_file(local_csv: str | Path, ref: str, column: int | None = None,
     else:
         local = [row[column] for row in rows if column < len(row)]
         name = f"{Path(local_csv).name} (column {column})"
-    ref_id, reference = load_reference(ref, fetch=fetch)
+    ref_id, reference = load_reference(ref)
     return compare_values(local, reference, name, ref_id)

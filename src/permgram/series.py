@@ -45,10 +45,6 @@ class Series:
         return len(self.coeffs) - 1
 
     @classmethod
-    def zero(cls, order: int) -> "Series":
-        return cls([Fraction(0)] * (order + 1))
-
-    @classmethod
     def const(cls, value: Scalar, order: int) -> "Series":
         return cls([_frac(value)] + [Fraction(0)] * order)
 
@@ -56,20 +52,8 @@ class Series:
     def one(cls, order: int) -> "Series":
         return cls.const(1, order)
 
-    @classmethod
-    def t(cls, order: int) -> "Series":
-        coeffs = [Fraction(0)] * (order + 1)
-        if order >= 1:
-            coeffs[1] = Fraction(1)
-        return cls(coeffs)
-
     def __getitem__(self, n: int) -> Fraction:
         return self.coeffs[n]
-
-    def truncate(self, order: int) -> "Series":
-        if order >= self.order:
-            return self
-        return Series(self.coeffs[: order + 1])
 
     def __eq__(self, other: object) -> bool:
         # Shared-prefix equality: operands of different orders agree when

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permgram.algebra import AlgebraError, HalfInt, LaurentPoly, Monomial, parse_poly
+from permgram.algebra import AlgebraError, LaurentPoly, Monomial, parse_poly
 
 VARS = ("x", "y", "z", "w", "u", "v")
 
@@ -17,22 +17,26 @@ def poly(text: str, vars=VARS) -> LaurentPoly:
     return parse_poly(text, vars)
 
 
-# -- HalfInt ------------------------------------------------------------------
+# -- half-integer exponents -----------------------------------------------------
 
 
 def test_halfint_roundtrip():
-    assert HalfInt.of(3).twice == 6
-    assert HalfInt.of(F(-1, 2)).twice == -1
-    assert HalfInt.of(F(-1, 2)).as_fraction() == F(-1, 2)
-    assert str(HalfInt(-1)) == "-1/2"
-    assert str(HalfInt(4)) == "2"
-    assert (HalfInt(1) + HalfInt(1)).is_integer
-    assert not HalfInt(0)
+    # int and half-integer exponents are stored doubled and render back
+    assert LaurentPoly.variable(VARS, "x", 3).terms == {(6, 0, 0, 0, 0, 0): 1}
+    assert LaurentPoly.variable(VARS, "z", F(-1, 2)).terms == {(0, 0, -1, 0, 0, 0): 1}
+    assert str(LaurentPoly.variable(VARS, "z", F(-1, 2))) == "z^-1/2"
+    assert str(LaurentPoly.monomial(VARS, {"y": F(4, 2)})) == "y^2"
+    assert LaurentPoly.monomial(VARS, {"x": 3, "z": F(-1, 2)}, 5) == poly("5*x^3*z^-1/2")
+    assert poly("x^-1/2 + 2*y").coeff({"x": F(-1, 2)}) == 1
 
 
 def test_halfint_rejects_other_denominators():
-    with pytest.raises(AlgebraError):
-        HalfInt.of(F(1, 3))
+    with pytest.raises(AlgebraError, match="not a half-integer"):
+        LaurentPoly.variable(VARS, "x", F(1, 3))
+    with pytest.raises(AlgebraError, match="not a half-integer"):
+        LaurentPoly.monomial(VARS, {"y": 1, "x": F(1, 3)})
+    with pytest.raises(AlgebraError, match="not a half-integer"):
+        poly("x").coeff({"x": F(1, 3)})
 
 
 # -- construction and arithmetic ------------------------------------------------

@@ -44,13 +44,13 @@ def test_report_shape():
     assert data["id"] == "thm-P" and data["passed"] is True
     assert data["provenance"]["grammar_sha256"]
     assert "elapsed_s" in data
-    assert "elapsed_s" not in report.to_dict(with_timing=False)
     assert "PASS" in report.summary()
 
 
 def test_reports_are_deterministic():
-    a = run_check("conv", n_max=4).to_dict(with_timing=False)
-    b = run_check("conv", n_max=4).to_dict(with_timing=False)
+    a = run_check("conv", n_max=4).to_dict()
+    b = run_check("conv", n_max=4).to_dict()
+    del a["elapsed_s"], b["elapsed_s"]
     assert a == b
 
 
@@ -92,6 +92,15 @@ def test_runner_error_fails_only_its_check():
     assert not gessel.passed
     assert gessel.counterexample.startswith("EnumerationCapError: ")
     assert pcf.passed
+
+
+@pytest.mark.parametrize("check_id", ["insertion", "stats-id", "involutions"])
+def test_brute_force_checks_respect_the_cap(check_id):
+    # each of these walks S_n itself instead of asking stat_counts
+    report = run_check(check_id, cap=5)
+    assert not report.passed
+    assert report.counterexample.startswith(
+        "EnumerationCapError: n=6 exceeds the enumeration cap 5")
 
 
 def test_provenance_names_the_grammars_each_check_used():

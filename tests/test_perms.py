@@ -201,8 +201,13 @@ def test_enumeration_cap():
         stat_counts(DEFAULT_CAP + 1)
     with pytest.raises(EnumerationCapError):
         enumerate_poly(DEFAULT_CAP + 1, "P")
+    with pytest.raises(EnumerationCapError):
+        permutations(6, cap=5)
+    with pytest.raises(EnumerationCapError):
+        involution_count(6, cap=5)
     # raising the cap explicitly is allowed (kept tiny here)
     assert stat_counts(3, cap=3)
+    assert involution_count(4, cap=4) == 10
 
 
 def test_parallel_sweep_matches_serial():

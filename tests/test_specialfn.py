@@ -8,9 +8,8 @@ import math
 import pytest
 
 from permgram.grammar import builtin, gen_coeffs
-from permgram.specialfn import (ConvergenceError, EvalContext, GammaPoleError,
-                                gamma, gen_p_value, gen_q_value, hyp1f1, pcf_d,
-                                pcf_d_derivs, rgamma)
+from permgram.specialfn import (ConvergenceError, GammaPoleError, gamma, gen_p_value,
+                                gen_q_value, hyp1f1, pcf_d, pcf_d_derivs, rgamma)
 
 
 def test_gamma_and_rgamma():
@@ -47,11 +46,6 @@ def test_hyp1f1_guards():
         hyp1f1(1, -2, 0.5)
     with pytest.raises(ConvergenceError):
         hyp1f1(1, 1.5, 100.0)
-
-
-def test_eval_context_validation():
-    with pytest.raises(ValueError):
-        EvalContext(tolerance=0)
 
 
 def test_pcf_closed_forms():
