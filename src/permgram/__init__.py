@@ -1,8 +1,8 @@
 """Exact workbench for a context-free-grammar calculus on permutation
-statistics: a formal-derivative engine over Laurent polynomials, exhaustive
-statistic oracles, exact rational series for every closed form that admits
-one, and floating-point parabolic-cylinder evaluation for the two that
-do not."""
+statistics: a formal-derivative engine over Laurent polynomials, a
+statistic oracle built from the definitions, exact rational series for
+every closed form that admits one, and floating-point parabolic-cylinder
+evaluation for the two that do not."""
 
 from .algebra import AlgebraError, LaurentPoly, Monomial, parse_poly
 from .grammar import (DerivationCache, Grammar, GrammarError, builtin,

@@ -648,7 +648,8 @@ def run_check(check_id: str, n_max: int | None = None, order: int | None = None,
     """Run one registry entry and assemble its report.
 
     An exception raised by the check's runner fails the check: the report
-    carries ``"<ExceptionType>: <message>"`` as its counterexample.
+    carries ``"<ExceptionType>: <message>"`` as its counterexample.  So
+    does a run that made no comparison, such as one over an empty range.
     """
     try:
         definition = REGISTRY[check_id]
@@ -672,6 +673,8 @@ def run_check(check_id: str, n_max: int | None = None, order: int | None = None,
     except Exception as exc:  # one check's error must not end a run of many
         recorder.passed = False
         recorder.counterexample = f"{type(exc).__name__}: {exc}"
+    if recorder.checked == 0:
+        recorder.fail("no comparison was made")
     elapsed = time.perf_counter() - start
     return Report(
         spec=spec,

@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``derive``    print D^n(seed) for a built-in or file grammar
-* ``enumerate`` print an exhaustive distribution polynomial, optionally
+* ``enumerate`` print an exact distribution polynomial over S_n, optionally
   exporting the integer triangle of a univariate family as CSV
 * ``verify``    run identity checks from the registry (``all`` or one id)
 * ``oeis``      compare an exported triangle against a reference sequence
@@ -43,13 +43,12 @@ def _build_parser() -> argparse.ArgumentParser:
     derive.add_argument("--n", type=int, required=True, help="derivative order")
     derive.add_argument("--all", action="store_true", help="print every order 0..n")
 
-    enum = sub.add_parser("enumerate", help="exhaustive distribution polynomials")
+    enum = sub.add_parser("enumerate",
+                          help="exact distribution polynomials over S_n (statistic oracle)")
     enum.add_argument("--family", required=True, choices=_ENUM_CHOICES)
     enum.add_argument("--n", type=int, required=True)
     enum.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                      help=f"enumeration cap (default {DEFAULT_CAP})")
-    enum.add_argument("--jobs", type=int, default=1,
-                      help="worker processes for the S_n sweep")
+                      help=f"largest n the oracle accepts (default {DEFAULT_CAP})")
     enum.add_argument("--csv", metavar="PATH",
                       help="also export the triangle rows 0..n as CSV (univariate families)")
     enum.add_argument("--seq", metavar="PATH",
@@ -91,9 +90,9 @@ def _cmd_derive(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.family in ENUMERATED_FAMILIES:
-        poly = perms.enumerate_poly(args.n, args.family, cap=args.cap, jobs=args.jobs)
+        poly = perms.enumerate_poly(args.n, args.family, cap=args.cap)
     else:
-        poly = perms.specialized_poly(args.n, args.family, cap=args.cap, jobs=args.jobs)
+        poly = perms.specialized_poly(args.n, args.family, cap=args.cap)
     print(poly)
     if args.csv or args.seq:
         if args.family not in perms.TRIANGLE_TARGETS:
@@ -123,6 +122,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 knobs.append(f"tol={entry.tol:g}")
             print(f"{check_id:<17} {entry.mode:<14} {entry.description} [{', '.join(knobs)}]")
         return 0
+    for flag, value in (("--n-max", args.n_max), ("--order", args.order), ("--cap", args.cap)):
+        if value is not None and value < 0:
+            print(f"error: {flag} must be nonnegative", file=sys.stderr)
+            return USAGE_ERROR
     ids = list(checks.check_ids()) if args.check == "all" else [args.check]
     try:
         reports = checks.run_many(ids, n_max=args.n_max, order=args.order,

@@ -1,9 +1,13 @@
-"""Permutation statistics, grammatical labelings, and exhaustive oracles.
+"""Permutation statistics, grammatical labelings, and the statistic oracle.
 
-Everything here is computed straight from the combinatorial definitions by
-sweeping S_n, never through the derivative engine, so agreement between the
-two sides is a meaningful check.  Permutations are tuples of the values
-1..n; the boundary zeros required by the statistics are supplied virtually.
+Everything here is computed from the combinatorial definitions, never
+through the derivative engine, so agreement between the two sides is a
+meaningful check.  ``stats`` evaluates the definitions on one permutation;
+the distributions over S_n come from a dynamic program over relative ranks
+(``stat_counts``) that only compares integers, and is tested against the
+brute-force sweep of ``stats`` over S_n.  Permutations are tuples of the
+values 1..n; the boundary zeros required by the statistics are supplied
+virtually.
 
 Statistic conventions (pi_0 = 0 on the left, pi_{n+1} = 0 on the right
 where noted):
@@ -24,8 +28,7 @@ where noted):
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
@@ -37,7 +40,8 @@ Perm = tuple[int, ...]
 #: The variable set the weight monomials live over (matches grammar ``G``).
 WEIGHT_VARS = ("x", "y", "z", "w", "u", "v")
 
-#: Largest n enumerated by default; 9! permutations stay sub-10s in CPython.
+#: Largest n enumerated by default.  It bounds the statistic oracle and the
+#: checks that walk S_n by brute force (9! permutations take seconds).
 DEFAULT_CAP = 9
 
 
@@ -279,45 +283,95 @@ def involution_count(n: int, cap: int = DEFAULT_CAP) -> int:
     return count
 
 
-# -- exhaustive distributions -------------------------------------------------
+# -- the statistic oracle ----------------------------------------------------
+#
+# Every count in a StatVector is a sum over positions i of a function of the
+# triple (pi_{i-1}, pi_i, pi_{i+1}), and ``alternating`` asks each descent
+# to fall at the right parity.  So the distribution over S_n follows from a
+# left-to-right transfer over relative ranks, the consecutive-pattern method
+# of Elizalde & Noy (Consecutive patterns in permutations, Adv. Appl. Math.
+# 2003): after placing k values, only the ranks of the last two among the
+# unplaced values matter for the triples still to come.
+#
+# A partial statistic vector is packed into one int, a field per count in
+# StatVector order and a last field counting positions that break the
+# alternation, so extending a prefix adds one int.
+
+_FIELD = 16  # bits per count; every count is at most n
+_EP1, _EP2, _PDD, _P1, _P2, _DD, _DR, _VALLEY, _DES, _BREAK = (
+    1 << (_FIELD * i) for i in range(10))
 
 _STAT_COUNTS: dict[int, Counter] = {}
 
 
 def _sweep(n: int) -> Counter:
+    """The distribution by definition: ``stats`` of every permutation of [n]."""
     counts: Counter = Counter()
     for perm in itertools.permutations(range(1, n + 1)):
         counts[stats(perm)] += 1
     return counts
 
 
-def _sweep_with_first(args: tuple[int, int]) -> Counter:
-    n, first = args
+def _triple(falling: bool, left_above_right: bool, descent: bool, i: int) -> int:
+    """Packed counts of the triple centred at position i < n.
+
+    ``falling``: pi_{i-1} > pi_i; ``left_above_right``: pi_{i-1} > pi_{i+1}
+    (false for the virtual left zero); ``descent``: pi_i > pi_{i+1}.
+    """
+    if falling:
+        packed = _DD + _PDD + _DES if descent else _VALLEY
+    elif descent:  # a peak; its right neighbour is real, so 132 is strict
+        packed = (_EP2 + _P2 if left_above_right else _EP1 + _P1) + _DES
+    else:
+        packed = _DR
+    if descent != (i % 2 == 1):
+        packed += _BREAK
+    return packed
+
+
+def _unpack(packed: int) -> StatVector:
+    mask = (1 << _FIELD) - 1
+    fields = [(packed >> (_FIELD * i)) & mask for i in range(10)]
+    return StatVector(*fields[:9], alternating=fields[9] == 0)
+
+
+def _transfer(n: int) -> Counter:
+    """Multiplicity of each statistic vector over S_n, by the rank transfer."""
+    if n == 0:
+        return Counter({stats(()): 1})
+    # After k values are placed, a state is (below, below_prev, falling):
+    # the unplaced values smaller than the last value, the same for the
+    # value before it (None for the virtual left zero), and whether that
+    # value is the larger of the two.  Each state maps the packed counts of
+    # the triples centred at positions 1..k-1 to their multiplicity.
+    layer: dict = {(rank, None, False): Counter({0: 1}) for rank in range(n)}
+    for k in range(1, n):
+        following: defaultdict = defaultdict(Counter)
+        for (below, below_prev, falling), vectors in layer.items():
+            for rank in range(n - k):  # place the rank-th smallest unplaced value
+                descent = rank < below
+                step = _triple(falling, below_prev is not None and rank < below_prev,
+                               descent, k)
+                target = following[rank, below - descent, descent]
+                for packed, count in vectors.items():
+                    target[packed + step] += count
+        layer = following
     counts: Counter = Counter()
-    rest = [k for k in range(1, n + 1) if k != first]
-    for tail in itertools.permutations(rest):
-        counts[stats((first,) + tail)] += 1
+    for (_, below_prev, falling), vectors in layer.items():
+        # the triple centred at n meets the right boundary zero
+        step = _DD if falling else (_P1 if below_prev is None else _P2)
+        for packed, count in vectors.items():
+            counts[_unpack(packed + step)] += count
     return counts
 
 
-def stat_counts(n: int, cap: int = DEFAULT_CAP, jobs: int = 1) -> Mapping[StatVector, int]:
-    """Multiplicity of each statistic vector over S_n (cached per n).
-
-    ``jobs > 1`` partitions S_n by first element across processes; the
-    merge is a commutative sum, so the result is independent of order.
-    """
+def stat_counts(n: int, cap: int = DEFAULT_CAP) -> Mapping[StatVector, int]:
+    """Multiplicity of each statistic vector over S_n (cached per n)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     _require_cap(n, cap)
     if n not in _STAT_COUNTS:
-        if jobs > 1 and n >= 2:
-            merged: Counter = Counter()
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for part in pool.map(_sweep_with_first, [(n, f) for f in range(1, n + 1)]):
-                    merged.update(part)
-            _STAT_COUNTS[n] = merged
-        else:
-            _STAT_COUNTS[n] = _sweep(n)
+        _STAT_COUNTS[n] = _transfer(n)
     return _STAT_COUNTS[n]
 
 
@@ -354,13 +408,13 @@ TRIANGLE_TARGETS = tuple(name for name in SPECIALIZED_TARGETS
                          if len(_DISTRIBUTIONS[name].vars) == 1)
 
 
-def _distribution(kind: str, name: str, n: int, cap: int, jobs: int) -> LaurentPoly:
+def _distribution(kind: str, name: str, n: int, cap: int) -> LaurentPoly:
     """Sum over S_n of the monomials the table gives ``name``."""
     dist = _DISTRIBUTIONS[name]
     if dist.first_n and n < dist.first_n:  # stat_counts rejects negative n itself
         raise ValueError(f"{kind} {name} is defined for n >= {dist.first_n}")
     terms: dict[tuple[int, ...], Fraction] = {}
-    for s, count in stat_counts(n, cap, jobs).items():
+    for s, count in stat_counts(n, cap).items():
         exps = dist.exponents(s, n)
         if exps is None:
             continue
@@ -369,7 +423,7 @@ def _distribution(kind: str, name: str, n: int, cap: int, jobs: int) -> LaurentP
     return LaurentPoly(dist.vars, terms)
 
 
-def enumerate_poly(n: int, family: str, cap: int = DEFAULT_CAP, jobs: int = 1) -> LaurentPoly:
+def enumerate_poly(n: int, family: str, cap: int = DEFAULT_CAP) -> LaurentPoly:
     """Exact sum of weights over S_n for the P, Q, or W family.
 
     P is the exterior-scheme distribution (n >= 0), Q the peak-scheme one
@@ -378,10 +432,10 @@ def enumerate_poly(n: int, family: str, cap: int = DEFAULT_CAP, jobs: int = 1) -
     """
     if family not in ENUMERATED_FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {ENUMERATED_FAMILIES}")
-    return _distribution("family", family, n, cap, jobs)
+    return _distribution("family", family, n, cap)
 
 
-def specialized_poly(n: int, target: str, cap: int = DEFAULT_CAP, jobs: int = 1) -> LaurentPoly:
+def specialized_poly(n: int, target: str, cap: int = DEFAULT_CAP) -> LaurentPoly:
     """Specialized distribution polynomials, each over its own variables.
 
     T       joint exterior peaks of pattern 132 (x) and 231 (y)
@@ -396,7 +450,7 @@ def specialized_poly(n: int, target: str, cap: int = DEFAULT_CAP, jobs: int = 1)
     """
     if target not in SPECIALIZED_TARGETS:
         raise ValueError(f"unknown target {target!r}; expected one of {SPECIALIZED_TARGETS}")
-    return _distribution("target", target, n, cap, jobs)
+    return _distribution("target", target, n, cap)
 
 
 def triangle(target: str, n_max: int, cap: int = DEFAULT_CAP) -> list[list[int]]:

@@ -134,6 +134,8 @@ def compare_file(local_csv: str | Path, ref: str,
                  column: int | None = None) -> SequenceComparison:
     """Compare a triangle CSV (flattened row-major, or one column) against a
     reference sequence."""
+    if column is not None and column < 0:
+        raise SequenceFormatError(f"column must be nonnegative, got {column}")
     rows = read_triangle_csv(local_csv)
     if column is None:
         local = flatten(rows)

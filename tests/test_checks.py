@@ -94,6 +94,13 @@ def test_runner_error_fails_only_its_check():
     assert pcf.passed
 
 
+def test_a_check_that_compares_nothing_fails():
+    report = run_check("thm-P", n_max=-1)
+    assert not report.passed and report.checked == 0
+    assert report.counterexample == "no comparison was made"
+    assert report.summary().startswith("FAIL")
+
+
 @pytest.mark.parametrize("check_id", ["insertion", "stats-id", "involutions"])
 def test_brute_force_checks_respect_the_cap(check_id):
     # each of these walks S_n itself instead of asking stat_counts

@@ -69,6 +69,12 @@ def test_verify_single_check(capsys):
     assert out.startswith("PASS") and "1 checks run, 1 passed" in out
 
 
+@pytest.mark.parametrize("flag", ["--n-max", "--order", "--cap"])
+def test_verify_rejects_negative_bounds(flag, capsys):
+    assert main(["verify", "thm-P", flag, "-1"]) == 2
+    assert f"{flag} must be nonnegative" in capsys.readouterr().err
+
+
 def test_verify_unknown_id(capsys):
     assert main(["verify", "definitely-not-a-check"]) == 2
     assert "unknown check" in capsys.readouterr().err
@@ -124,6 +130,22 @@ def test_oeis_compare(tmp_path, capsys):
     assert main(["oeis", "--local", str(ltri), "--ref", "A000085", "--column", "0"]) == 0
 
 
+def test_oeis_round_trip_past_the_default_cap(tmp_path, capsys):
+    tri = tmp_path / "gessel.csv"
+    assert main(["enumerate", "--family", "Gessel-T", "--n", "10", "--cap", "10",
+                 "--csv", str(tri)]) == 0
+    capsys.readouterr()
+    assert main(["oeis", "--local", str(tri), "--ref", "A008971"]) == 0
+    assert "on the first 36 terms" in capsys.readouterr().out
+
+    ltri = tmp_path / "l.csv"
+    assert main(["enumerate", "--family", "L", "--n", "12", "--cap", "12",
+                 "--csv", str(ltri)]) == 0
+    capsys.readouterr()
+    assert main(["oeis", "--local", str(ltri), "--ref", "A000085", "--column", "0"]) == 0
+    assert "on the first 13 terms" in capsys.readouterr().out
+
+
 def test_oeis_mismatch_and_errors(tmp_path, capsys):
     tri = tmp_path / "tri.csv"
     tri.write_text("1\n2\n")
@@ -136,6 +158,9 @@ def test_oeis_mismatch_and_errors(tmp_path, capsys):
     assert main(["oeis", "--local", str(tri), "--ref", str(corrupted)]) == 2
     assert "line 1" in capsys.readouterr().err
     assert main(["oeis", "--local", str(tri), "--ref", "A424242"]) == 2
+    capsys.readouterr()
+    assert main(["oeis", "--local", str(tri), "--ref", str(ref), "--column", "-1"]) == 2
+    assert "column must be nonnegative" in capsys.readouterr().err
 
 
 def test_bad_usage_exits_2():

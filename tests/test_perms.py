@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
+from permgram import perms as perms_module
 from permgram.algebra import parse_poly
+from permgram.checks import run_check
 from permgram.grammar import builtin
 from permgram.perms import (DEFAULT_CAP, EnumerationCapError, consecutive_count,
                             enumerate_poly, insertion_children, involution_count,
@@ -210,9 +214,33 @@ def test_enumeration_cap():
     assert involution_count(4, cap=4) == 10
 
 
-def test_parallel_sweep_matches_serial():
-    serial = dict(stat_counts(6))
-    from permgram import perms as perms_module
-    perms_module._STAT_COUNTS.pop(6, None)
-    parallel = dict(stat_counts(6, jobs=2))
-    assert parallel == serial
+def test_oracle_matches_the_sweep(monkeypatch):
+    # the rank-transfer oracle against the brute-force definition, from a cold cache
+    monkeypatch.setattr(perms_module, "_STAT_COUNTS", {})
+    for n in range(9):
+        assert stat_counts(n) == perms_module._sweep(n), n
+
+
+def test_oracle_beyond_the_sweep():
+    # past brute-force range: closed counts for n <= 12
+    cap = 12
+    zigzag = [  # Euler zigzag numbers: down-up permutations of [n]
+        1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521, 353792, 2702765]
+    involutions = [1, 1]
+    for n in range(2, cap + 1):
+        involutions.append(involutions[-1] + (n - 1) * involutions[-2])
+    for n in range(cap + 1):
+        assert sum(stat_counts(n, cap=cap).values()) == math.factorial(n)
+        eulerian = specialized_poly(n, "Eulerian", cap=cap)
+        for k in range(max(n, 1)):
+            explicit = sum((-1) ** j * math.comb(n + 1, j) * (k + 1 - j) ** n
+                           for j in range(k + 1))
+            assert eulerian.coeff({"x": k}) == explicit, (n, k)
+        assert specialized_poly(n, "TA", cap=cap).evaluate({"x": 1, "y": 1}) == zigzag[n]
+        assert specialized_poly(n, "L", cap=cap).coeff({}) == involutions[n]
+
+
+@pytest.mark.parametrize("check_id", ["thm-P", "thm-Q", "g1-eulerian"])
+def test_derivative_checks_agree_past_the_default_cap(check_id):
+    report = run_check(check_id, n_max=11, cap=11)
+    assert report.passed and report.checked >= 11

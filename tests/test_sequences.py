@@ -90,3 +90,5 @@ def test_compare_file_column(tmp_path):
     write_triangle_csv(perms.triangle("L", 7), local)
     assert compare_file(local, "A000085", column=0).passed
     assert not compare_file(local, "A000085", column=1).passed
+    with pytest.raises(SequenceFormatError, match="column must be nonnegative"):
+        compare_file(local, "A000085", column=-1)  # not the last entry of each row
