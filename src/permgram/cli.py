@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -59,9 +60,10 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--list", action="store_true", help="list registry entries and exit")
     verify.add_argument("--n-max", type=int, default=None)
     verify.add_argument("--order", type=int, default=None)
-    verify.add_argument("--tol", type=float, default=None)
+    verify.add_argument("--tol", type=float, default=None,
+                        help="residual tolerance of the numeric checks (finite, > 0)")
     verify.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    verify.add_argument("--jobs", type=int, default=1)
+    verify.add_argument("--jobs", type=int, default=1, help="worker processes (at least 1)")
     verify.add_argument("--json", metavar="PATH", help="write the machine-readable report")
 
     oeis = sub.add_parser("oeis", help="compare a triangle CSV against a reference sequence")
@@ -126,6 +128,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if value is not None and value < 0:
             print(f"error: {flag} must be nonnegative", file=sys.stderr)
             return USAGE_ERROR
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+        print("error: --tol must be a finite positive number", file=sys.stderr)
+        return USAGE_ERROR
+    if args.jobs < 1:
+        print("error: --jobs must be at least 1", file=sys.stderr)
+        return USAGE_ERROR
     ids = list(checks.check_ids()) if args.check == "all" else [args.check]
     try:
         reports = checks.run_many(ids, n_max=args.n_max, order=args.order,

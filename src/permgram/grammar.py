@@ -5,6 +5,14 @@ derivative D extends the rules linearly and by the product rule; on a
 monomial it acts factor by factor, treating the exponent as a scalar:
 D(v^e) = e v^{e-1} rule(v).  Constants derive to zero.
 
+Read as a vector field, a grammar is also a flow: D is differentiation
+along X' = rule(X) (Chen, Theor. Comput. Sci. 117, 1993), so the value of
+the exponential generating function of a seed at a rational point,
+sum_n D^n(seed)(p) t^n/n!, is seed(X(t)) with X(0) = p.  ``flow_series``
+computes its Taylor coefficients exactly from power-series recurrences,
+without building any D^n(seed); the numeric checks take their exact
+truncations from it.
+
 The built-in grammars are shipped as data files and parsed on first use,
 so the file parser is exercised on every run:
 
@@ -25,8 +33,9 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+from typing import Mapping
 
-from .algebra import AlgebraError, LaurentPoly, parse_poly
+from .algebra import AlgebraError, LaurentPoly, Scalar, _as_fraction, parse_poly
 
 
 class GrammarError(ValueError):
@@ -107,6 +116,81 @@ def gen_coeffs(grammar: Grammar, seed: LaurentPoly, order: int) -> list[LaurentP
     """Coefficients of the exponential generating function of the seed:
     entry n is D^n(seed), the coefficient of t^n/n!."""
     return DerivationCache(grammar, seed).upto(order)
+
+
+def flow_series(grammar: Grammar, seed: LaurentPoly, point: Mapping[str, Scalar],
+                order: int) -> list[Fraction]:
+    """Taylor coefficients of the seed along the grammar's flow: entry n is
+    D^n(seed)(point) / n!, for n = 0 .. order.
+
+    D is differentiation along the vector field X' = rule(X), so
+    sum_n D^n(f)(p) t^n/n! = f(X(t)) with X(0) = p.  The coefficients of X
+    follow one at a time from X_i[n+1] = rule_i(X)[n] / (n+1); a monomial
+    M = prod X_i^{e_i} follows from its log-derivative, n M[n] =
+    sum_k (sum_i e_i k log(X_i)[k]) M[n-k].  All of it is exact, and no
+    D^n(seed) is ever built.
+
+    Every variable the flow from the seed reaches must be bound to a nonzero
+    rational (the logarithms need it), and one that carries a half exponent
+    to a rational square; otherwise this raises ``AlgebraError``.
+    """
+    if order < 0:
+        raise ValueError("derivative order must be nonnegative")
+    if seed.vars != grammar.vars:
+        seed = seed.with_vars(grammar.vars)
+    live: set[int] = set()
+    reach = [i for key in seed.terms for i, t in enumerate(key) if t]
+    while reach:
+        i = reach.pop()
+        if i not in live:
+            live.add(i)
+            reach.extend(j for key in grammar.rules[i].terms for j, t in enumerate(key) if t)
+    keys = set(seed.terms).union(*(grammar.rules[i].terms for i in live))
+    halves = {i for key in keys for i, t in enumerate(key) if t % 2}
+
+    xs: dict[int, list[Fraction]] = {}       # Taylor coefficients of X_i
+    x_rates: dict[int, list[Fraction]] = {}  # k [t^k] log X_i, from k = 1
+    for i in live:
+        name = grammar.vars[i]
+        if name not in point:
+            raise AlgebraError(f"unbound variable {name!r}")
+        value = _as_fraction(point[name])
+        if value == 0:
+            raise AlgebraError(f"the flow needs {name} != 0 at its start")
+        xs[i], x_rates[i] = [value], [Fraction(0)]
+    ms: dict[tuple[int, ...], list[Fraction]] = {}       # Taylor coefficients of M
+    m_rates: dict[tuple[int, ...], list[Fraction]] = {}  # k [t^k] log M, from k = 1
+    for key in keys:
+        start = Fraction(1)
+        for i, t in enumerate(key):
+            if t:
+                start *= _exact_root(xs[i][0], grammar.vars[i]) ** t if i in halves \
+                    else xs[i][0] ** (t // 2)
+        ms[key], m_rates[key] = [start], [Fraction(0)]
+
+    def at(poly: LaurentPoly, n: int) -> Fraction:
+        return sum((coeff * ms[key][n] for key, coeff in poly.terms.items()), Fraction(0))
+
+    for n in range(1, order + 1):
+        for i in live:
+            x, rate = xs[i], x_rates[i]
+            x.append(at(grammar.rules[i], n - 1) / n)
+            rate.append((n * x[n] - sum((rate[k] * x[n - k] for k in range(1, n)), Fraction(0)))
+                        / x[0])
+        for key, m in ms.items():
+            rate = m_rates[key]
+            rate.append(sum((t * x_rates[i][n] for i, t in enumerate(key) if t), Fraction(0)) / 2)
+            m.append(sum(rate[k] * m[n - k] for k in range(1, n + 1)) / n)
+    return [at(seed, n) for n in range(order + 1)]
+
+
+def _exact_root(value: Fraction, name: str) -> Fraction:
+    """The rational square root of ``value``; never a float."""
+    num, den = value.numerator, value.denominator
+    root = Fraction(math.isqrt(num), math.isqrt(den)) if num > 0 else None
+    if root is None or root * root != value:
+        raise AlgebraError(f"a half power of {name} needs a rational square, not {value}")
+    return root
 
 
 def gen_product(a: list[LaurentPoly], b: list[LaurentPoly]) -> list[LaurentPoly]:

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from permgram import series
+from permgram import series, specialfn
 from permgram.algebra import parse_poly
 from permgram.checks import (EN_ROOTS, REGISTRY, X_GRID, Recorder, UnknownCheckError,
-                             check_ids, en_roots, run_check, run_many, x_grid, y_grid)
-from permgram.grammar import builtin_hash
+                             _gen_num_trials, check_ids, en_roots, run_check, run_many,
+                             x_grid, y_grid)
+from permgram.grammar import builtin, builtin_hash, flow_series, gen_coeffs
 
 EXPECTED_IDS = {
     "thm-P", "thm-Q", "w-cor", "insertion", "conv", "ode", "gen-x1z", "quotient",
@@ -73,6 +76,42 @@ def test_recorder_residuals():
     rec.residual(-5e-9, 1e-10, "too big")
     assert not rec.passed and rec.max_residual == 5e-9
     assert "too big" in rec.counterexample
+
+
+def test_recorder_fails_a_nan():
+    rec = Recorder()
+    rec.residual(float("nan"), 1e-10, "nan residual")
+    assert not rec.passed and math.isnan(rec.max_residual)
+    rec.residual(1e-12, 1e-10, "later")
+    assert math.isnan(rec.max_residual)
+    rec = Recorder()
+    rec.residual(1e-12, float("nan"), "nan tolerance")
+    assert not rec.passed and rec.max_residual == 1e-12
+
+
+def test_numeric_check_fails_a_nan_closed_form(monkeypatch):
+    monkeypatch.setattr(specialfn, "gen_p_value", lambda point, t: float("nan"))
+    report = run_check("genp-num")
+    assert not report.passed
+    assert math.isnan(report.max_residual)
+    assert report.counterexample.startswith("trial 0 at t=")
+
+
+@pytest.mark.parametrize("seed", ["z", "w"])
+def test_gen_num_truncation_matches_the_symbolic_chain(seed):
+    # the flow replaces D^n(seed).evaluate at the numeric checks' own samples;
+    # both give the same Fractions, so the floats compared are the same
+    g = builtin("G")
+    order = 25
+    chain = gen_coeffs(g, g.poly(seed), order)
+    for point, t in _gen_num_trials(seed):
+        flow = flow_series(g, g.poly(seed), point, order)
+        values = [c.evaluate(point) for c in chain]
+        assert [math.factorial(n) * c for n, c in enumerate(flow)] == values
+        assert abs(flow[order]) * t ** order == \
+            abs(values[order]) * t ** order / math.factorial(order)
+        assert sum(c * t ** n for n, c in enumerate(flow)) == \
+            sum(v * t ** n / math.factorial(n) for n, v in enumerate(values))
 
 
 def test_overrides_only_apply_where_meaningful():

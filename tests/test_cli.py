@@ -75,6 +75,18 @@ def test_verify_rejects_negative_bounds(flag, capsys):
     assert f"{flag} must be nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_verify_rejects_a_bad_tolerance(tol, capsys):
+    assert main(["verify", "pcf-closed", "--tol", tol]) == 2
+    assert "--tol must be a finite positive number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_rejects_fewer_than_one_job(jobs, capsys):
+    assert main(["verify", "thm-P", "--jobs", jobs]) == 2
+    assert "--jobs must be at least 1" in capsys.readouterr().err
+
+
 def test_verify_unknown_id(capsys):
     assert main(["verify", "definitely-not-a-check"]) == 2
     assert "unknown check" in capsys.readouterr().err

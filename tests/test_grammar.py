@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permgram.algebra import AlgebraError, LaurentPoly, parse_poly
-from permgram.grammar import (DerivationCache, GrammarError, builtin, builtin_hash,
-                              builtin_names, gen_coeffs, gen_product, load_grammar,
-                              parse_grammar, resolve_grammar)
+from permgram.grammar import (DerivationCache, Grammar, GrammarError, builtin, builtin_hash,
+                              builtin_names, flow_series, gen_coeffs, gen_product,
+                              load_grammar, parse_grammar, resolve_grammar)
 
 G = builtin("G")
 
@@ -160,3 +163,120 @@ def test_chain_commutes_with_derivative(name, chain, seed):
     for n in range(6 + 1):
         lhs = G.derive_n(G.poly(seed), n).substitute(chain).with_vars(target.vars)
         assert lhs == reduced_cache.upto(n)[n], n
+
+
+# -- the flow: Gen(seed) at a point without expanding D^n ------------------------------
+
+
+def _box_point(rng: random.Random, vars) -> dict:
+    return {name: F(rng.randrange(8, 33), 16) for name in vars}
+
+
+def _assert_flow_matches_chain(grammar, seed, point, order):
+    flow = flow_series(grammar, grammar.poly(seed), point, order)
+    assert len(flow) == order + 1
+    assert all(type(value) is F for value in flow)
+    for n, poly in enumerate(gen_coeffs(grammar, grammar.poly(seed), order)):
+        assert math.factorial(n) * flow[n] == poly.evaluate(point), (seed, n)
+
+
+@pytest.mark.parametrize("seed", ["z", "w", "x^-1*z"])
+def test_flow_matches_the_symbolic_chain_under_G(seed):
+    rng = random.Random(f"flow/{seed}")
+    for _ in range(2):
+        _assert_flow_matches_chain(G, seed, _box_point(rng, G.vars), 25)
+
+
+@pytest.mark.parametrize("name,chain,seed", CHAINS, ids=[c[0] for c in CHAINS])
+def test_flow_matches_the_symbolic_chain_of_each_reference_grammar(name, chain, seed):
+    target = builtin(name)
+    rng = random.Random(f"flow/{name}")
+    for _ in range(3):
+        _assert_flow_matches_chain(target, seed, _box_point(rng, target.vars), 25)
+
+
+def test_flow_of_the_half_seed_at_square_points():
+    # Gen(z)^2 Gen(s)^2 = Gen(x^-1 z) for s = x^-1/2 z^-1/2: products of
+    # values along the flow are Cauchy products of Taylor coefficients
+    order = 20
+    rng = random.Random("flow/half")
+    for _ in range(3):
+        point = _box_point(rng, G.vars)
+        point["x"] = F(rng.randrange(2, 9), rng.randrange(2, 9)) ** 2
+        point["z"] = F(rng.randrange(2, 9), rng.randrange(2, 9)) ** 2
+        gz = flow_series(G, G.poly("z"), point, order)
+        gs = flow_series(G, G.poly("x^-1/2*z^-1/2"), point, order)
+        assert all(type(value) is F for value in gs)
+        lhs = _cauchy(_cauchy(gz, gz), _cauchy(gs, gs))
+        assert lhs == flow_series(G, G.poly("x^-1*z"), point, order)
+
+
+def _cauchy(a, b):
+    return [sum(a[k] * b[n - k] for k in range(n + 1)) for n in range(len(a))]
+
+
+def test_flow_half_power_needs_a_rational_square():
+    point = {"x": F(2), "y": F(1), "z": F(4), "w": F(1), "u": F(1), "v": F(1)}
+    with pytest.raises(AlgebraError, match="rational square"):
+        flow_series(G, G.poly("x^-1/2*z^-1/2"), point, 3)
+    with pytest.raises(AlgebraError, match="rational square"):
+        flow_series(G, G.poly("z^1/2"), {**point, "z": F(-4)}, 3)
+
+
+def test_flow_input_errors():
+    point = {"x": F(1), "y": F(2), "z": F(3), "w": F(1), "u": F(1), "v": F(1)}
+    with pytest.raises(AlgebraError, match="unbound"):
+        flow_series(G, G.poly("z"), {"z": F(1)}, 3)
+    with pytest.raises(AlgebraError):
+        flow_series(G, G.poly("z"), {**point, "x": 0.5}, 3)
+    with pytest.raises(AlgebraError, match="!= 0"):
+        flow_series(G, G.poly("z"), {**point, "u": F(0)}, 3)
+    with pytest.raises(ValueError):
+        flow_series(G, G.poly("z"), point, -1)
+    # only the variables the seed's flow reaches need a value
+    tiny = parse_grammar("vars: a b\nrule a -> a^2\nrule b -> a*b")
+    assert flow_series(tiny, tiny.poly("a"), {"a": F(3)}, 3) == [3, 9, 27, 81]
+    assert flow_series(tiny, tiny.poly("7"), {}, 2) == [7, 0, 0]
+
+
+FLOW_VARS = ("a", "b", "c")
+
+
+@st.composite
+def flow_polys(draw, max_terms):
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
+        key = tuple(draw(st.integers(min_value=-1, max_value=2)) * 2 for _ in FLOW_VARS)
+        terms[key] = terms.get(key, F(0)) + draw(st.integers(min_value=-3, max_value=3))
+    return LaurentPoly(FLOW_VARS, terms)
+
+
+@st.composite
+def flow_cases(draw, values):
+    grammar = Grammar(FLOW_VARS, tuple(draw(flow_polys(2)) for _ in FLOW_VARS))
+    point = {name: draw(values) for name in FLOW_VARS}
+    return grammar, draw(flow_polys(3)), point
+
+
+NONZERO = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(flow_cases(NONZERO))
+def test_flow_matches_the_symbolic_chain_on_random_grammars(case):
+    grammar, seed, point = case
+    flow = flow_series(grammar, seed, point, 6)
+    for n, poly in enumerate(gen_coeffs(grammar, seed, 6)):
+        assert math.factorial(n) * flow[n] == poly.evaluate(point), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(flow_cases(st.sampled_from([F(0), F(-1), F(1, 2), F(2)])))
+def test_flow_at_a_zero_coordinate_matches_or_raises(case):
+    grammar, seed, point = case
+    try:
+        flow = flow_series(grammar, seed, point, 5)
+    except AlgebraError:
+        return
+    for n, poly in enumerate(gen_coeffs(grammar, seed, 5)):
+        assert math.factorial(n) * flow[n] == poly.evaluate(point), n
