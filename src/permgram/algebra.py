@@ -1,10 +1,14 @@
 """Exact arithmetic kernel: half-integer exponents, monomials, Laurent polynomials.
 
-A polynomial is a sparse map from exponent vectors to nonzero ``Fraction``
+A polynomial is a sparse map from exponent vectors to nonzero exact
 coefficients.  Exponents are half-integers stored as doubled integers, so
 ``x^-1/2`` is exact and exponent arithmetic never leaves the integers.
-Coefficients are rationals because deriving a half-exponent monomial
-produces factors like -1/2.
+A coefficient is stored as a plain ``int`` whenever it is integral and as a
+``Fraction`` only when it is not (deriving a half-exponent monomial produces
+factors like -1/2); both go through the same loops by Python's numeric
+tower.  ``evaluate`` works over one common denominator, so evaluating an
+integer-coefficient polynomial at a rational point is integer arithmetic
+followed by a single division.
 
 Everything here is an immutable value; operations are pure functions and
 safe to share across threads.  Two polynomials built in different term
@@ -14,8 +18,10 @@ orders compare equal, and the text rendering (canonical term order,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, getitem
 from typing import Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -81,12 +87,26 @@ def _as_fraction(value: Scalar) -> Fraction:
     raise AlgebraError(f"expected an exact rational, got {value!r}")
 
 
+def _scalar(value: Scalar) -> Scalar:
+    """The stored form of an exact coefficient: an ``int`` when it is integral,
+    else a ``Fraction``."""
+    if type(value) is int:
+        return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, int):
+        return int(value)
+    raise AlgebraError(f"expected an exact rational, got {value!r}")
+
+
 class LaurentPoly:
     """Sparse Laurent polynomial with rational coefficients.
 
     ``terms`` maps doubled-exponent tuples (one entry per variable) to
-    nonzero coefficients.  The constructor normalizes: zero coefficients
-    are dropped, so equality is plain coefficient-wise comparison.
+    nonzero coefficients, each an ``int`` when integral and a ``Fraction``
+    otherwise.  The constructor normalizes: zero coefficients are dropped
+    and ``Fraction(k, 1)`` becomes ``k``, so equality is plain
+    coefficient-wise comparison.
     """
 
     __slots__ = ("vars", "terms")
@@ -94,11 +114,11 @@ class LaurentPoly:
     def __init__(self, vars: Sequence[str], terms: Mapping[tuple[int, ...], Scalar] | None = None):
         self.vars = tuple(vars)
         width = len(self.vars)
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], Scalar] = {}
         for key, coeff in (terms or {}).items():
             if len(key) != width:
                 raise AlgebraError("exponent vector does not match variable set")
-            c = _as_fraction(coeff)
+            c = _scalar(coeff)
             if c:
                 clean[tuple(key)] = c
         self.terms = clean
@@ -111,19 +131,19 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, vars: Sequence[str], value: Scalar) -> "LaurentPoly":
-        return cls(vars, {(0,) * len(tuple(vars)): _as_fraction(value)})
+        return cls(vars, {(0,) * len(tuple(vars)): value})
 
     @classmethod
     def variable(cls, vars: Sequence[str], name: str,
                  exponent: Scalar = 1) -> "LaurentPoly":
         vars = tuple(vars)
-        return cls(vars, {_key(vars, {name: exponent}): Fraction(1)})
+        return cls(vars, {_key(vars, {name: exponent}): 1})
 
     @classmethod
     def monomial(cls, vars: Sequence[str], exponents: Mapping[str, Scalar],
                  coeff: Scalar = 1) -> "LaurentPoly":
         vars = tuple(vars)
-        return cls(vars, {_key(vars, exponents): _as_fraction(coeff)})
+        return cls(vars, {_key(vars, exponents): coeff})
 
     # -- basic queries -------------------------------------------------
 
@@ -135,7 +155,7 @@ class LaurentPoly:
 
     def coeff(self, exponents: Mapping[str, Scalar]) -> Fraction:
         """Coefficient of the monomial with these exponents (0 when absent)."""
-        return self.terms.get(_key(self.vars, exponents), Fraction(0))
+        return Fraction(self.terms.get(_key(self.vars, exponents), 0))
 
     # -- ring operations ------------------------------------------------
 
@@ -148,8 +168,9 @@ class LaurentPoly:
             other = LaurentPoly.const(self.vars, other)
         self._check_vars(other)
         out = dict(self.terms)
+        get = out.get
         for key, coeff in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + coeff
+            out[key] = get(key, 0) + coeff
         return LaurentPoly(self.vars, out)
 
     __radd__ = __add__
@@ -167,14 +188,16 @@ class LaurentPoly:
 
     def __mul__(self, other: Union["LaurentPoly", Scalar]) -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
-            c = _as_fraction(other)
+            c = _scalar(other)
             return LaurentPoly(self.vars, {k: coeff * c for k, coeff in self.terms.items()})
         self._check_vars(other)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Scalar] = {}
+        get = out.get
+        right = other.terms.items()
         for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                key = tuple(a + b for a, b in zip(ka, kb))
-                out[key] = out.get(key, Fraction(0)) + ca * cb
+            for kb, cb in right:
+                key = tuple(map(add, ka, kb))
+                out[key] = get(key, 0) + ca * cb
         return LaurentPoly(self.vars, out)
 
     __rmul__ = __mul__
@@ -197,13 +220,15 @@ class LaurentPoly:
     # -- substitution, evaluation, variable alignment --------------------
 
     def substitute(self, bindings: Mapping[str, Union["LaurentPoly", str, Scalar]]) -> "LaurentPoly":
-        """Simultaneously replace variables by polynomials.
+        """Simultaneously replace variables by unit monomials, 1 or 0.
 
-        A binding image may be any polynomial when the variable occurs only
-        with nonnegative integer exponents; negative or half-integer powers
-        are distributed only over single-monomial images with coefficient 1.
+        An image is a variable name, the constant 1 or 0, or a polynomial of
+        one term with coefficient 1; anything else raises ``AlgebraError``.
+        A term with a positive integer power of a variable bound to 0 drops
+        out; a negative or half power of one raises, as does an image that
+        would leave a quarter-integer exponent.
         """
-        images: dict[int, LaurentPoly] = {}
+        images: dict[int, tuple[int, ...] | None] = {}  # None: bound to 0
         for name, value in bindings.items():
             if name not in self.vars:
                 raise AlgebraError(f"unknown variable {name!r}")
@@ -214,75 +239,94 @@ class LaurentPoly:
                 img = LaurentPoly.variable(self.vars, value)
             else:
                 img = LaurentPoly.const(self.vars, value)
-            images[self.vars.index(name)] = img
+            if img.is_zero():
+                image = None
+            elif list(img.terms.values()) == [1]:
+                (image,) = img.terms
+            else:
+                raise AlgebraError(
+                    f"binding for {name!r} must be a unit monomial, 1 or 0, not {img}")
+            images[self.vars.index(name)] = image
 
-        width = len(self.vars)
-        out = LaurentPoly.zero(self.vars)
+        out: dict[tuple[int, ...], Scalar] = {}
         for key, coeff in self.terms.items():
-            fixed = [0] * width
-            factors: list[LaurentPoly] = []
-            for i, t in enumerate(key):
+            built = list(key)
+            vanishes = False
+            for i, image in images.items():
+                t = key[i]
                 if t == 0:
                     continue
-                img = images.get(i)
-                if img is None:
-                    fixed[i] += t
+                built[i] -= t
+                if image is None:
+                    if t < 0 or t % 2:
+                        raise AlgebraError(
+                            f"cannot bind {self.vars[i]} to 0 under power {_exp_str(t)}")
+                    vanishes = True
                     continue
-                if len(img.terms) == 1:
-                    (mkey, mcoeff), = img.terms.items()
-                    if mcoeff == 1:
-                        for j, m in enumerate(mkey):
-                            prod = m * t
-                            if prod % 2:
-                                raise AlgebraError(
-                                    f"substituting {self.vars[i]}^{_exp_str(t)} creates a "
-                                    "quarter-integer exponent")
-                            fixed[j] += prod // 2
-                        continue
-                if t < 0 or t % 2:
-                    raise AlgebraError(
-                        f"cannot raise a non-monomial binding to power {_exp_str(t)} "
-                        f"for variable {self.vars[i]!r}")
-                factors.append(img ** (t // 2))
-            term = LaurentPoly(self.vars, {tuple(fixed): coeff})
-            for f in factors:
-                term = term * f
-            out = out + term
-        return out
+                for j, m in enumerate(image):
+                    prod = m * t
+                    if prod % 2:
+                        raise AlgebraError(
+                            f"substituting {self.vars[i]}^{_exp_str(t)} creates a "
+                            "quarter-integer exponent")
+                    built[j] += prod // 2
+            if not vanishes:
+                new = tuple(built)
+                out[new] = out.get(new, 0) + coeff
+        return LaurentPoly(self.vars, out)
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a rational point.
 
         Every variable that occurs must be bound, with an integer exponent;
         variables with negative exponents must map to nonzero values.
+
+        The sum runs over one common denominator.  For a variable bound to
+        a/b whose exponents span [lo, hi], a term's factor (a/b)^e is scaled
+        to the integer a^(e-lo) b^(hi-e), read from a power table; the
+        total is divided once by the product of the a^-lo b^hi.
         """
-        values: list[Fraction | None] = []
-        for name in self.vars:
-            values.append(_as_fraction(point[name]) if name in point else None)
-        total = Fraction(0)
-        for key, coeff in self.terms.items():
-            term = coeff
-            for i, t in enumerate(key):
-                if t == 0:
-                    continue
-                if t % 2:
-                    raise AlgebraError(
-                        f"cannot evaluate half-integer exponent {self.vars[i]}^{_exp_str(t)}")
-                value = values[i]
-                if value is None:
-                    raise AlgebraError(f"unbound variable {self.vars[i]!r}")
-                e = t // 2
-                if e < 0 and value == 0:
-                    raise AlgebraError(f"zero raised to negative power {e}")
-                term *= value ** e
-            total += term
-        return total
+        values = {name: _as_fraction(point[name]) for name in self.vars if name in point}
+        num = den = 1
+        tables: list[dict[int, int]] = []  # per variable: doubled exponent -> scaled factor
+        for name, column in zip(self.vars, zip(*self.terms)):
+            lo, hi = min(column), max(column)
+            if lo == hi == 0:
+                tables.append({0: 1})
+                continue
+            odd = next((t for t in column if t % 2), None)
+            if odd is not None:
+                raise AlgebraError(f"cannot evaluate half-integer exponent {name}^{_exp_str(odd)}")
+            if name not in values:
+                raise AlgebraError(f"unbound variable {name!r}")
+            a, b = values[name].numerator, values[name].denominator
+            lo, hi = lo // 2, hi // 2
+            if lo < 0 and a == 0:
+                raise AlgebraError(f"zero raised to negative power {lo}")
+            a_pows, b_pows = [1], [1]
+            for _ in range(hi - lo):
+                a_pows.append(a_pows[-1] * a)
+                b_pows.append(b_pows[-1] * b)
+            tables.append({2 * (lo + k): a_pows[k] * b_pows[hi - lo - k]
+                           for k in range(hi - lo + 1)})
+            # the value is the scaled sum times a^lo b^-hi
+            if lo >= 0:
+                num *= a ** lo
+            else:
+                den *= a ** -lo
+            if hi <= 0:
+                num *= b ** -hi
+            else:
+                den *= b ** hi
+        total = sum(math.prod(map(getitem, tables, key), start=coeff)
+                    for key, coeff in self.terms.items())
+        return Fraction(total * num, den)
 
     def with_vars(self, vars: Sequence[str]) -> "LaurentPoly":
         """Re-express over another variable set (drop unused, reorder, extend)."""
         vars = tuple(vars)
         index = {name: j for j, name in enumerate(vars)}
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Scalar] = {}
         for key, coeff in self.terms.items():
             built = [0] * len(vars)
             for i, t in enumerate(key):
@@ -293,7 +337,7 @@ class LaurentPoly:
                     raise AlgebraError(f"variable {name!r} occurs but is not in the target set")
                 built[index[name]] = t
             new_key = tuple(built)
-            out[new_key] = out.get(new_key, Fraction(0)) + coeff
+            out[new_key] = out.get(new_key, 0) + coeff
         return LaurentPoly(vars, out)
 
     # -- rendering -------------------------------------------------------

@@ -81,7 +81,7 @@ class Report:
             "checked": self.checked,
             "details": list(self.details),
             "counterexample": self.counterexample,
-            "max_residual": self.max_residual,
+            "max_residual": _json_float(self.max_residual),
             "provenance": dict(self.provenance),
             "elapsed_s": round(self.elapsed_s, 3),
         }
@@ -92,6 +92,12 @@ class Report:
         residual = "" if self.max_residual is None else f" max residual {self.max_residual:.2e}"
         return (f"{status}  {self.spec.check_id:<16} {self.spec.mode:<14} "
                 f"{body}{residual} ({self.elapsed_s:.2f}s)")
+
+
+def _json_float(value: float | None) -> float | str | None:
+    """A float for a JSON report: a NaN or an infinity becomes the string
+    "nan" or "inf", which JSON can carry."""
+    return value if value is None or math.isfinite(value) else str(value)
 
 
 class Recorder:
@@ -369,10 +375,10 @@ def _run_grammar_chain(spec: CheckSpec, rec: Recorder) -> None:
             image = g.rule(var).substitute(chain).with_vars(target.vars)
             rec.poly_equal(image, target.rule(chain.get(var, var)),
                            f"{name}: reduced rule for {var}")
-        seed = g.poly(seed_name)
+        full = DerivationCache(g, g.poly(seed_name))
         reduced = DerivationCache(target, target.poly(seed_name))
         for n in range(spec.n_max + 1):
-            lhs = g.derive_n(seed, n).substitute(chain).with_vars(target.vars)
+            lhs = full.upto(n)[n].substitute(chain).with_vars(target.vars)
             rec.poly_equal(lhs, reduced.upto(n)[n],
                            f"{name}: substitution commutes with D at n={n}")
     rec.note(f"G reduces to g1, g2, g3 and the reductions commute with D up to n = {spec.n_max}")

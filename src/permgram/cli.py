@@ -158,8 +158,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "checks": [report.to_dict() for report in reports],
             "passed": passed == len(reports),
         }
-        Path(args.json).write_text(json.dumps(document, indent=2, sort_keys=True) + "\n",
-                                   encoding="utf-8")
+        text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False)
+        Path(args.json).write_text(text + "\n", encoding="utf-8")
     return 0 if passed == len(reports) else 1
 
 

@@ -30,8 +30,9 @@ import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
+from operator import add
 from pathlib import Path
 from typing import Mapping
 
@@ -63,22 +64,31 @@ class Grammar:
         """Parse an expression over this grammar's variables."""
         return parse_poly(text, self.vars)
 
+    @cached_property
+    def _deltas(self) -> tuple[tuple[tuple[tuple[int, ...], Scalar], ...], ...]:
+        """Per variable i: each term of rule(i) as (exponent delta, coefficient),
+        the delta being the rule's key with the -2 of d/dv_i folded in at i."""
+        return tuple(
+            tuple((tuple(r - 2 if j == i else r for j, r in enumerate(rkey)), rcoeff)
+                  for rkey, rcoeff in rule.terms.items())
+            for i, rule in enumerate(self.rules))
+
     def derive(self, p: LaurentPoly) -> LaurentPoly:
         """One application of the formal derivative."""
         if p.vars != self.vars:
             raise AlgebraError(
                 f"polynomial over {p.vars} fed to grammar over {self.vars}")
-        out: dict[tuple[int, ...], Fraction] = {}
+        deltas = self._deltas
+        out: dict[tuple[int, ...], Scalar] = {}
+        get = out.get
         for key, coeff in p.terms.items():
             for i, t in enumerate(key):
                 if t == 0:
                     continue
-                factor = coeff * Fraction(t, 2)
-                base = list(key)
-                base[i] = t - 2
-                for rkey, rcoeff in self.rules[i].terms.items():
-                    nkey = tuple(b + r for b, r in zip(base, rkey))
-                    out[nkey] = out.get(nkey, Fraction(0)) + factor * rcoeff
+                factor = coeff * (t // 2) if t % 2 == 0 else coeff * Fraction(t, 2)
+                for delta, rcoeff in deltas[i]:
+                    nkey = tuple(map(add, key, delta))
+                    out[nkey] = get(nkey, 0) + factor * rcoeff
         return LaurentPoly(self.vars, out)
 
     def derive_n(self, seed: LaurentPoly, n: int) -> LaurentPoly:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permgram.algebra import AlgebraError, LaurentPoly, Monomial, parse_poly
@@ -90,7 +90,9 @@ def test_substitute_constant():
 
 
 def test_substitute_polynomial_image():
-    assert poly("x^2").substitute({"x": poly("y + z")}) == poly("y^2 + 2*y*z + z^2")
+    # an image must be a unit monomial, 1 or 0
+    with pytest.raises(AlgebraError, match="unit monomial"):
+        poly("x^2").substitute({"x": poly("y + z")})
 
 
 def test_substitute_rejects_bad_powers():
@@ -101,6 +103,16 @@ def test_substitute_rejects_bad_powers():
     with pytest.raises(AlgebraError):
         # quarter-integer exponent: (y^1/2)^(1/2)
         poly("x^1/2").substitute({"x": poly("y^1/2")})
+
+
+def test_substitute_zero_binding():
+    # a positive integer power of a zero-bound variable drops its term
+    assert poly("x*y^2 + 3*z - x^-1/2*w").substitute({"y": 0, "w": 0}) == poly("3*z")
+    for text in ("y^-1 + x", "y^1/2 + x"):
+        with pytest.raises(AlgebraError):
+            poly(text).substitute({"y": 0})
+    with pytest.raises(AlgebraError, match="unit monomial"):
+        poly("x*y").substitute({"y": 2})
 
 
 def test_substitute_unit_monomial_into_half_power():
@@ -214,3 +226,113 @@ def test_canonical_construction_order(a, b):
     for key, coeff in list(a.terms.items()) + list(b.terms.items()):
         merged[key] = merged.get(key, F(0)) + coeff
     assert LaurentPoly(SMALL_VARS, merged) == a + b
+
+
+# -- the int-or-Fraction store against Fraction-only definitions ---------------------
+
+
+def assert_normal(p: LaurentPoly) -> None:
+    """Stored coefficients are nonzero ints, or Fractions that are not integral."""
+    for coeff in p.terms.values():
+        assert coeff != 0
+        assert type(coeff) is int or (type(coeff) is F and coeff.denominator != 1), coeff
+    for key in p.terms:
+        exponents = {name: F(t, 2) for name, t in zip(p.vars, key)}
+        assert type(p.coeff(exponents)) is F
+
+
+def reference_terms(p: LaurentPoly) -> dict:
+    return {key: F(coeff) for key, coeff in p.terms.items()}
+
+
+def reference_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for key, coeff in b.items():
+        out[key] = out.get(key, F(0)) + coeff
+    return {key: coeff for key, coeff in out.items() if coeff}
+
+
+def reference_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ka, kb))
+            out[key] = out.get(key, F(0)) + ca * cb
+    return {key: coeff for key, coeff in out.items() if coeff}
+
+
+def reference_evaluate(vars, terms: dict, point) -> F:
+    """Term by term: coeff * prod value^e, with the kernel's three domain errors."""
+    total = F(0)
+    for key, coeff in terms.items():
+        term = coeff
+        for name, t in zip(vars, key):
+            if t == 0:
+                continue
+            if t % 2:
+                raise AlgebraError("half-integer exponent")
+            if name not in point:
+                raise AlgebraError("unbound variable")
+            value = F(point[name])
+            if value == 0 and t < 0:
+                raise AlgebraError("zero to a negative power")
+            term *= value ** (t // 2)
+        total += term
+    return total
+
+
+COEFFS = st.one_of(st.integers(min_value=-9, max_value=9),
+                   st.fractions(min_value=-5, max_value=5, max_denominator=6))
+
+
+@st.composite
+def mixed_polys(draw):
+    """Int and Fraction coefficients; half-integer exponents in some draws."""
+    half = draw(st.booleans())
+    terms: dict = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        key = tuple(draw(st.integers(min_value=-4, max_value=5)) if half
+                    else 2 * draw(st.integers(min_value=-2, max_value=3)) for _ in SMALL_VARS)
+        terms[key] = terms.get(key, 0) + draw(COEFFS)
+    return LaurentPoly(SMALL_VARS, terms)
+
+
+POINTS = st.dictionaries(st.sampled_from(SMALL_VARS),
+                         st.one_of(st.just(0), st.integers(min_value=-3, max_value=3),
+                                   st.fractions(min_value=-4, max_value=4, max_denominator=7)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_polys(), mixed_polys())
+def test_add_and_mul_match_the_fraction_definitions(a, b):
+    ra, rb = reference_terms(a), reference_terms(b)
+    for got, want in ((a + b, reference_add(ra, rb)), (a * b, reference_mul(ra, rb)),
+                      (a * F(3, 2), reference_mul(ra, {(0, 0, 0): F(3, 2)}))):
+        assert got.terms == want
+        assert_normal(got)
+    assert_normal(a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_polys(), POINTS)
+@example(parse_poly("x^1/2*y + 2", SMALL_VARS), {"x": 4, "y": 1})  # half exponent
+@example(parse_poly("x*z - 3/2", SMALL_VARS), {"x": 1})  # unbound variable that occurs
+@example(parse_poly("y^-2 + x", SMALL_VARS), {"x": 1, "y": 0})  # zero to a negative power
+def test_evaluate_matches_the_fraction_definition(p, point):
+    try:
+        want = reference_evaluate(p.vars, reference_terms(p), point)
+    except AlgebraError:
+        with pytest.raises(AlgebraError):
+            p.evaluate(point)
+        return
+    got = p.evaluate(point)
+    assert type(got) is F and got == want
+
+
+def test_evaluate_common_denominator_edges():
+    # exponents of one sign only, a zero value under a positive power, a
+    # negative value, and a variable bound but absent
+    point = {"x": F(-2, 3), "y": F(0), "z": F(5, 7)}
+    for text in ("x^3*z^2 + x^5", "x^-2*z^-1 - 3/4*x^-4", "y^2*x + x^-1", "y^3", "7"):
+        p = poly(text, SMALL_VARS)
+        assert p.evaluate(point) == reference_evaluate(SMALL_VARS, reference_terms(p), point)

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from permgram import perms
+from permgram import perms, specialfn
 from permgram.cli import main
 from permgram.grammar import builtin_hash
 from permgram.sequences import flatten, read_sequence_file, read_triangle_csv
@@ -115,6 +115,18 @@ def test_verify_runner_error_is_a_failed_report(tmp_path, capsys):
     document = json.loads(report_path.read_text())
     assert document["passed"] is False
     assert document["checks"][0]["counterexample"].startswith("EnumerationCapError: n=6")
+
+
+def test_verify_json_report_is_strict_json_with_a_nan_residual(tmp_path, capsys, monkeypatch):
+    def reject(constant):
+        raise ValueError(f"bare {constant} in the report")
+
+    monkeypatch.setattr(specialfn, "gen_p_value", lambda point, t: float("nan"))
+    report_path = tmp_path / "report.json"
+    assert main(["verify", "genp-num", "--json", str(report_path)]) == 1
+    document = json.loads(report_path.read_text(), parse_constant=reject)
+    assert document["passed"] is False
+    assert document["checks"][0]["max_residual"] == "nan"
 
 
 def test_verify_json_deterministic(tmp_path, capsys):

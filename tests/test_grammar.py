@@ -280,3 +280,68 @@ def test_flow_at_a_zero_coordinate_matches_or_raises(case):
         return
     for n, poly in enumerate(gen_coeffs(grammar, seed, 5)):
         assert math.factorial(n) * flow[n] == poly.evaluate(point), n
+
+
+# -- the int-or-Fraction kernel against the Fraction-only definition of D ----------------
+
+
+def reference_derive(grammar, terms: dict) -> dict:
+    """D(c prod v_i^e_i) = sum_i c e_i v_i^(e_i - 1) rule(v_i), in Fraction only."""
+    out: dict = {}
+    for key, coeff in terms.items():
+        for i, t in enumerate(key):
+            if t == 0:
+                continue
+            for rkey, rcoeff in grammar.rules[i].terms.items():
+                new = tuple(k + r - (2 if j == i else 0) for j, (k, r) in enumerate(zip(key, rkey)))
+                out[new] = out.get(new, F(0)) + F(coeff) * F(t, 2) * F(rcoeff)
+    return {key: coeff for key, coeff in out.items() if coeff}
+
+
+def fraction_poly(vars, terms: dict) -> LaurentPoly:
+    """A polynomial holding exactly these Fraction coefficients, past the
+    constructor's int normalization: the store as it was before ints."""
+    p = LaurentPoly(vars)
+    p.terms = dict(terms)
+    return p
+
+
+def assert_normal(p: LaurentPoly) -> None:
+    for coeff in p.terms.values():
+        assert type(coeff) is int or (type(coeff) is F and coeff.denominator != 1), coeff
+
+
+@pytest.mark.parametrize("name,seed", [("G", "z"), ("G", "w"), ("G", "x^-1/2*z^-1/2"),
+                                       ("g1", "x"), ("g2", "x"), ("g3", "z")])
+def test_chain_renders_as_the_fraction_reference(name, seed):
+    grammar = builtin(name)
+    terms = {key: F(coeff) for key, coeff in grammar.poly(seed).terms.items()}
+    for n, poly in enumerate(gen_coeffs(grammar, grammar.poly(seed), 12)):
+        assert poly.terms == terms, n
+        assert str(poly) == str(fraction_poly(grammar.vars, terms)), n
+        assert_normal(poly)
+        terms = reference_derive(grammar, terms)
+
+
+@st.composite
+def mixed_polys(draw, max_terms):
+    """Int and Fraction coefficients, integer and half-integer exponents."""
+    terms: dict = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
+        key = tuple(draw(st.integers(min_value=-3, max_value=4)) for _ in FLOW_VARS)
+        terms[key] = terms.get(key, 0) + draw(st.one_of(
+            st.integers(min_value=-4, max_value=4),
+            st.fractions(min_value=-3, max_value=3, max_denominator=4)))
+    return LaurentPoly(FLOW_VARS, terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(mixed_polys(2), mixed_polys(2), mixed_polys(2)), mixed_polys(3))
+def test_derive_matches_the_fraction_definition(rules, seed):
+    grammar = Grammar(FLOW_VARS, rules)
+    terms = {key: F(coeff) for key, coeff in seed.terms.items()}
+    poly = seed
+    for n in range(1, 4):
+        poly, terms = grammar.derive(poly), reference_derive(grammar, terms)
+        assert poly.terms == terms, n
+        assert_normal(poly)
