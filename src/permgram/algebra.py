@@ -6,9 +6,9 @@ coefficients.  Exponents are half-integers stored as doubled integers, so
 A coefficient is stored as a plain ``int`` whenever it is integral and as a
 ``Fraction`` only when it is not (deriving a half-exponent monomial produces
 factors like -1/2); both go through the same loops by Python's numeric
-tower.  ``evaluate`` works over one common denominator, so evaluating an
-integer-coefficient polynomial at a rational point is integer arithmetic
-followed by a single division.
+tower.  Products and ``evaluate`` work over one common denominator (for a
+product, the lcm of each factor's coefficient denominators): the sums run
+in ints, and each result is divided once.
 
 Everything here is an immutable value; operations are pure functions and
 safe to share across threads.  Two polynomials built in different term
@@ -99,6 +99,34 @@ def _scalar(value: Scalar) -> Scalar:
     raise AlgebraError(f"expected an exact rational, got {value!r}")
 
 
+def _scaled(terms: Mapping[tuple[int, ...], Scalar]) -> tuple[int, Mapping[tuple[int, ...], int]]:
+    """``(d, integer terms)``: d is the lcm of the coefficient denominators and
+    the integer terms are the coefficients times d.  An all-int map is
+    returned as ``(1, terms)``, uncopied."""
+    d = math.lcm(*(c.denominator for c in terms.values()))
+    return (1, terms) if d == 1 else (d, {k: c.numerator * (d // c.denominator)
+                                           for k, c in terms.items()})
+
+
+def _mul_into(out: dict[tuple[int, ...], int], a: Mapping[tuple[int, ...], int],
+              b: Mapping[tuple[int, ...], int], weight: int) -> dict[tuple[int, ...], int]:
+    """Add ``weight`` times the product of integer term maps a, b to ``out``; return it."""
+    get = out.get
+    right = b.items()
+    for ka, ca in a.items():
+        wa = weight * ca
+        for kb, cb in right:
+            key = tuple(map(add, ka, kb))
+            out[key] = get(key, 0) + wa * cb
+    return out
+
+
+def _over(vars: tuple[str, ...], nums: Mapping[tuple[int, ...], int], den: int) -> "LaurentPoly":
+    """The polynomial with coefficients ``num / den``, each reduced once."""
+    return LaurentPoly(vars, nums if den == 1 else
+                       {k: Fraction(num, den) for k, num in nums.items() if num})
+
+
 class LaurentPoly:
     """Sparse Laurent polynomial with rational coefficients.
 
@@ -106,7 +134,8 @@ class LaurentPoly:
     nonzero coefficients, each an ``int`` when integral and a ``Fraction``
     otherwise.  The constructor normalizes: zero coefficients are dropped
     and ``Fraction(k, 1)`` becomes ``k``, so equality is plain
-    coefficient-wise comparison.
+    coefficient-wise comparison.  ``*`` scales each factor to integers over
+    the lcm of its denominators and divides each product term once.
     """
 
     __slots__ = ("vars", "terms")
@@ -191,14 +220,9 @@ class LaurentPoly:
             c = _scalar(other)
             return LaurentPoly(self.vars, {k: coeff * c for k, coeff in self.terms.items()})
         self._check_vars(other)
-        out: dict[tuple[int, ...], Scalar] = {}
-        get = out.get
-        right = other.terms.items()
-        for ka, ca in self.terms.items():
-            for kb, cb in right:
-                key = tuple(map(add, ka, kb))
-                out[key] = get(key, 0) + ca * cb
-        return LaurentPoly(self.vars, out)
+        da, a = _scaled(self.terms)
+        db, b = _scaled(other.terms)
+        return _over(self.vars, _mul_into({}, a, b, 1), da * db)
 
     __rmul__ = __mul__
 

@@ -288,11 +288,9 @@ def _run_conv(spec: CheckSpec, rec: Recorder) -> None:
     q0 = LaurentPoly.variable(WEIGHT_VARS, "w")
     p = [enumerate_poly(k, "P", cap=spec.cap) for k in range(spec.n_max + 2)]
     q = [q0] + [enumerate_poly(k, "Q", cap=spec.cap) for k in range(1, spec.n_max + 1)]
+    conv = gen_product(p, q)  # truncated to order n_max by q
     for n in range(1, spec.n_max + 1):
-        acc = LaurentPoly.zero(WEIGHT_VARS)
-        for k in range(n + 1):
-            acc = acc + math.comb(n, k) * (p[k] * q[n - k])
-        rec.poly_equal(p[n + 1], acc, f"convolution at n={n}")
+        rec.poly_equal(p[n + 1], conv[n], f"convolution at n={n}")
     rec.note(f"P_(n+1) = sum C(n,k) P_k Q_(n-k) with Q_0 = w for 1 <= n <= {spec.n_max}")
 
 

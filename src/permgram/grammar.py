@@ -36,7 +36,8 @@ from operator import add
 from pathlib import Path
 from typing import Mapping
 
-from .algebra import AlgebraError, LaurentPoly, Scalar, _as_fraction, parse_poly
+from .algebra import (AlgebraError, LaurentPoly, Scalar, _as_fraction, _mul_into, _over, _scaled,
+                      parse_poly)
 
 
 class GrammarError(ValueError):
@@ -90,10 +91,6 @@ class Grammar:
                     nkey = tuple(map(add, key, delta))
                     out[nkey] = get(nkey, 0) + factor * rcoeff
         return LaurentPoly(self.vars, out)
-
-    def derive_n(self, seed: LaurentPoly, n: int) -> LaurentPoly:
-        """n-fold derivative; D^0 is the seed itself."""
-        return DerivationCache(self, seed).upto(n)[n]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Grammar):
@@ -205,14 +202,25 @@ def _exact_root(value: Fraction, name: str) -> Fraction:
 
 def gen_product(a: list[LaurentPoly], b: list[LaurentPoly]) -> list[LaurentPoly]:
     """Coefficient stream of a product of two exponential generating
-    functions: c_n = sum_k C(n,k) a_k b_{n-k}, truncated to the shorter input."""
+    functions: c_n = sum_k C(n,k) a_k b_{n-k}, truncated to the shorter input.
+
+    Each stream is scaled once, to integer terms over one common denominator,
+    so each c_n is summed in ints and divided once per term."""
     order = min(len(a), len(b)) - 1
+    if order < 0:
+        return []
+    vars = a[0].vars
+    if any(p.vars != vars for p in (*a[:order + 1], *b[:order + 1])):
+        raise AlgebraError(f"mismatched variable sets in a product of streams over {vars}")
+    scaled = [[_scaled(p.terms) for p in s[:order + 1]] for s in (a, b)]
+    da, db = (math.lcm(*(d for d, _ in s)) for s in scaled)
     out = []
     for n in range(order + 1):
-        acc = LaurentPoly.zero(a[0].vars)
+        nums: dict[tuple[int, ...], int] = {}
         for k in range(n + 1):
-            acc = acc + math.comb(n, k) * (a[k] * b[n - k])
-        out.append(acc)
+            (dk, ak), (dj, bj) = scaled[0][k], scaled[1][n - k]
+            _mul_into(nums, ak, bj, math.comb(n, k) * (da // dk) * (db // dj))
+        out.append(_over(vars, nums, da * db))
     return out
 
 

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 
 from permgram.algebra import parse_poly
 from permgram.checks import run_check
-from permgram.grammar import builtin
+from permgram.grammar import builtin, gen_coeffs
 from permgram.perms import stats
 
 GVARS = ("x", "y", "z", "w", "u", "v")
@@ -39,7 +39,7 @@ def test_criterion_01_grammar_enumeration_equivalence():
         run_and_assert("thm-P", n_max=8)
         run_and_assert("thm-Q", n_max=8)
         elapsed = time.perf_counter() - start
-        d4 = builtin("G").derive_n(parse_poly("z", GVARS), 4)
+        d4 = gen_coeffs(builtin("G"), parse_poly("z", GVARS), 4)[4]
         display = parse_poly(
             "6*x*z*w^2*v + 5*z^2*w^2*u + 5*x*y*z*w*v + y*z^2*w*u"
             " + x*y^2*z*v + 3*x^2*z*v^2 + 2*x*z^2*u*v + z*w^4", GVARS)

@@ -313,6 +313,22 @@ def test_add_and_mul_match_the_fraction_definitions(a, b):
     assert_normal(a)
 
 
+@settings(max_examples=150, deadline=None)
+@given(mixed_polys(), mixed_polys())
+@example(LaurentPoly(SMALL_VARS), parse_poly("3/4*x - y^1/2", SMALL_VARS))  # a zero factor
+@example(parse_poly("x", SMALL_VARS), parse_poly("1/2*y^1/2", SMALL_VARS))  # cross terms cancel
+@example(parse_poly("2/3*x^1/2 - 5", SMALL_VARS), parse_poly("3/2*x^-1/2", SMALL_VARS))
+def test_products_over_a_common_denominator_match_the_definition(a, b):
+    # (a + b)(a - b) = a^2 - b^2: its cross terms cancel to 0 term by term
+    ra, rb = reference_terms(a), reference_terms(b)
+    squares = reference_add(reference_mul(ra, ra), {k: -c for k, c in reference_mul(rb, rb).items()})
+    for got, want in ((a * b, reference_mul(ra, rb)), (b * a, reference_mul(ra, rb)),
+                      ((a + b) * (a - b), squares),
+                      (a * LaurentPoly(SMALL_VARS), {})):
+        assert got.terms == want
+        assert_normal(got)
+
+
 @settings(max_examples=200, deadline=None)
 @given(mixed_polys(), POINTS)
 @example(parse_poly("x^1/2*y + 2", SMALL_VARS), {"x": 4, "y": 1})  # half exponent

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permgram.algebra import AlgebraError, LaurentPoly, parse_poly
@@ -43,8 +43,8 @@ def test_derive_rejects_foreign_polynomials():
 
 
 def test_derive_n_matches_published_display():
-    assert G.derive_n(G.poly("z"), 0) == G.poly("z")
-    assert G.derive_n(G.poly("z"), 4) == G.poly(D4Z)
+    assert gen_coeffs(G, G.poly("z"), 0)[0] == G.poly("z")
+    assert gen_coeffs(G, G.poly("z"), 4)[4] == G.poly(D4Z)
 
 
 def test_derivation_cache_extends():
@@ -81,7 +81,7 @@ def test_leibniz_rule_powers():
 def test_second_difference_of_w_minus_y():
     diff = G.poly("w - y")
     assert G.derive(diff) == G.poly("x*v - z*u")
-    assert G.derive_n(diff, 2).is_zero()
+    assert gen_coeffs(G, diff, 2)[2].is_zero()
 
 
 def test_gen_coeffs_of_constant():
@@ -159,10 +159,9 @@ def test_chain_reduces_rules(name, chain, seed):
 @pytest.mark.parametrize("name,chain,seed", CHAINS, ids=[c[0] for c in CHAINS])
 def test_chain_commutes_with_derivative(name, chain, seed):
     target = builtin(name)
-    reduced_cache = DerivationCache(target, target.poly(seed))
-    for n in range(6 + 1):
-        lhs = G.derive_n(G.poly(seed), n).substitute(chain).with_vars(target.vars)
-        assert lhs == reduced_cache.upto(n)[n], n
+    reduced = gen_coeffs(target, target.poly(seed), 6)
+    for n, full in enumerate(gen_coeffs(G, G.poly(seed), 6)):
+        assert full.substitute(chain).with_vars(target.vars) == reduced[n], n
 
 
 # -- the flow: Gen(seed) at a point without expanding D^n ------------------------------
@@ -345,3 +344,58 @@ def test_derive_matches_the_fraction_definition(rules, seed):
         poly, terms = grammar.derive(poly), reference_derive(grammar, terms)
         assert poly.terms == terms, n
         assert_normal(poly)
+
+
+# -- gen_product over one denominator per stream against the Fraction definition -------
+
+
+def reference_gen_product(a: list[dict], b: list[dict]) -> list[dict]:
+    """c_n = sum_k C(n,k) a_k b_{n-k} in Fraction only, to the shorter length."""
+    out = []
+    for n in range(min(len(a), len(b))):
+        acc: dict = {}
+        for k in range(n + 1):
+            for ka, ca in a[k].items():
+                for kb, cb in b[n - k].items():
+                    key = tuple(x + y for x, y in zip(ka, kb))
+                    acc[key] = acc.get(key, F(0)) + math.comb(n, k) * F(ca) * F(cb)
+        out.append({key: coeff for key, coeff in acc.items() if coeff})
+    return out
+
+
+def flow_poly(text: str) -> LaurentPoly:
+    return parse_poly(text, FLOW_VARS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(mixed_polys(3), max_size=5), st.lists(mixed_polys(3), max_size=5))
+@example([LaurentPoly(FLOW_VARS)] * 3,
+         [flow_poly("1/2*a^1/2 - 3"), flow_poly("1/3*b"), flow_poly("c")])
+@example([flow_poly("1/2*a"), flow_poly("1/3*b")],  # c_1 = a/2 (-b/3) + (b/3)(a/2) = 0
+         [flow_poly("1/2*a"), flow_poly("-1/3*b"), flow_poly("7/5")])
+def test_gen_product_matches_the_fraction_definition(a, b):
+    got = gen_product(a, b)
+    assert [p.terms for p in got] == reference_gen_product([p.terms for p in a],
+                                                           [p.terms for p in b])
+    for p in got:
+        assert p.vars == FLOW_VARS
+        assert_normal(p)
+
+
+def test_gen_product_rejects_mismatched_variable_sets():
+    good = [flow_poly("1/2*a"), flow_poly("b - 1/3")]
+    other = parse_poly("1/2*a", ("a", "b"))
+    for a, b in (([other] + good, good), (good, [other] + good),
+                 (good[:1] + [other], good), (good, good[:1] + [other])):
+        with pytest.raises(AlgebraError):
+            gen_product(a, b)
+
+
+@pytest.mark.parametrize("c", [F(-8, 3), F(2, 7)])
+def test_squared_quotient_identity_with_a_fraction_scale(c):
+    # Gen(z)^2 Gen(c x^-1/2 z^-1/2)^2 = Gen(c^2 x^-1 z), exactly through t^10
+    order = 10
+    gz = gen_coeffs(G, G.poly("z"), order)
+    gs = gen_coeffs(G, c * G.poly("x^-1/2*z^-1/2"), order)
+    lhs = gen_product(gen_product(gz, gz), gen_product(gs, gs))
+    assert lhs == gen_coeffs(G, (c * c) * G.poly("x^-1*z"), order)

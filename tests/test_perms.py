@@ -9,7 +9,7 @@ import pytest
 from permgram import perms as perms_module
 from permgram.algebra import parse_poly
 from permgram.checks import run_check
-from permgram.grammar import builtin
+from permgram.grammar import builtin, gen_coeffs
 from permgram.perms import (DEFAULT_CAP, EnumerationCapError, consecutive_count,
                             enumerate_poly, insertion_children, involution_count,
                             label_exterior, label_peak, peak_weight, permutations,
@@ -167,7 +167,7 @@ def test_coefficient_of_xyzwv_and_its_witnesses():
                  if (lambda s: (s.ep1, s.ep2, s.pdd) == (1, 0, 1))(stats(perm))]
     assert len(witnesses) == 5
     assert set(witnesses) == {(2, 4, 3, 1), (1, 4, 3, 2), (4, 2, 1, 3), (4, 3, 1, 2), (3, 2, 1, 4)}
-    d4 = builtin("G").derive_n(parse_poly("z", VARS), 4)
+    d4 = gen_coeffs(builtin("G"), parse_poly("z", VARS), 4)[4]
     assert d4.coeff({"x": 1, "y": 1, "z": 1, "w": 1, "v": 1}) == 5
 
 

@@ -116,3 +116,52 @@ def test_gen_q_is_log_derivative_of_gen_p():
     num = sum(gz[n + 1].evaluate(point) * t ** n / math.factorial(n) for n in range(26))
     den = sum(gz[n].evaluate(point) * t ** n / math.factorial(n) for n in range(26))
     assert abs(gen_q_value(SAMPLE, float(t)) - float(num / den)) < 1e-9
+
+
+# -- against mpmath: the accurate region, and the drift ROADMAP item 2 records ---------
+
+MP_A = (-1, -0.5, 0, 0.5, 1, 1.5)
+MP_Z = (-3.5, -2.25, -1.0, -0.3, 0.0, 0.4, 1.25, 2.5, 3.5)
+MP_TOL = 1e-11  # the worst relative error on this grid is about 1e-12
+
+
+def _rel_err(got: complex, want) -> float:
+    want = complex(want)
+    return abs(got - want) / abs(want) if want else abs(got)
+
+
+@pytest.mark.parametrize("a", MP_A)
+def test_pcf_d_and_its_derivatives_match_mpmath_for_small_z(a):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for z in MP_Z:
+            # D' = z/2 D - D_{a+1} (DLMF 12.8.3) and Weber's equation D'' = (z^2/4 - a - 1/2) D
+            d, z_mp = mpmath.pcfd(a, z), mpmath.mpf(z)
+            want = [d, z_mp / 2 * d - mpmath.pcfd(a + 1, z), (z_mp ** 2 / 4 - a - 0.5) * d]
+            assert _rel_err(pcf_d(a, z), want[0]) <= MP_TOL, z
+            for k, got in enumerate(pcf_d_derivs(a, z)):
+                assert _rel_err(got, want[k]) <= MP_TOL, (z, k)
+
+
+def test_hyp1f1_matches_mpmath_on_the_pcf_arguments():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for a in MP_A:
+            for z in MP_Z:
+                for args in ((-a / 2, 0.5, z * z / 2), ((1 - a) / 2, 1.5, z * z / 2), (a, 1.5, z)):
+                    assert _rel_err(hyp1f1(*args), mpmath.hyp1f1(*args)) <= MP_TOL, args
+
+
+DRIFT = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 2: pcf_d sums two cancelling 1F1 series and drifts without an error")
+
+
+@pytest.mark.parametrize("a,z", [pytest.param(-1, 8.0, marks=DRIFT),
+                                 pytest.param(-0.5, 8.0, marks=DRIFT)])
+def test_pcf_d_known_drift_at_large_z(a, z):
+    # relative error 0.75 (a = -1) and 2.7e-2 (a = -1/2); these start failing
+    # once pcf_d either matches mpmath here or raises
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        assert _rel_err(pcf_d(a, z), mpmath.pcfd(a, z)) <= MP_TOL
