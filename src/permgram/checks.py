@@ -13,16 +13,18 @@ oracle and declares the mode:
   special-function unit suite, checked in floating point against exact
   truncated series or against each other.
 
-Checks of the two common shapes are rows of data, each shape run by one
+Checks of the three common shapes are rows of data, each shape run by one
 loop: a ``_derivative`` row compares D^n(seed) under a built-in grammar with
-an enumeration oracle, and a ``_sampled`` row compares a closed-form series
-builder with a specialized oracle at every point of a sample grid.  Adding a
-check means adding a row to the registry (or, for another shape, a runner
-function); the runner, CLI, and report plumbing never need to change.
+an enumeration oracle, a ``_sampled`` row compares closed-form series
+builders with a specialized oracle on sample grids (``_run_samples`` is the
+one caller of a ``series.rhs_*`` builder), and a ``_hyp_identity`` row checks
+a 1F1 identity in floats and as exact series.  Adding a check means adding a
+row (or, for another shape, a runner); the plumbing never changes.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -38,8 +40,7 @@ from .grammar import (DerivationCache, Grammar, builtin, builtin_hash, flow_seri
 from .perms import (DEFAULT_CAP, WEIGHT_VARS, enumerate_poly, involution_count,
                     label_exterior, label_peak, peak_weight, permutations,
                     specialized_poly, stats)
-from .series import (Series, exp_poly, hyp1f1_ct2, rhs_elizalde_noy, rhs_involutions,
-                     rhs_ta_even, rhs_ta_odd)
+from .series import Series
 
 F = Fraction
 
@@ -209,6 +210,10 @@ def _root_pairs(order: int) -> list:
             for a, b in ROOT_PAIRS for y in y_grid(order)]
 
 
+def _roots(order: int) -> list:
+    return [(f"a={a}", (a,), None) for a in en_roots(order)]
+
+
 # -- shared comparison loops -----------------------------------------------------
 
 
@@ -219,39 +224,56 @@ def _check_series_against(rec: Recorder, rhs: Series, values: Sequence[Fraction]
         rec.equal(rhs[n], value / math.factorial(n), f"{label}, coefficient of t^{n}")
 
 
-def _oracle_polys(target: str, spec: CheckSpec, start: int = 0) -> list[LaurentPoly | None]:
-    """The oracle polynomial of each n = 0..order, None below ``start``."""
-    return [specialized_poly(n, target, cap=spec.cap) if n >= start else None
-            for n in range(spec.order + 1)]
-
-
-def _run_samples(spec: CheckSpec, rec: Recorder, target: str, builder: str,
-                 grid: Callable[[int], list], start: int = 0) -> None:
-    """Compare ``series.<builder>`` with the oracle ``target`` at each sample.
+def _run_samples(spec: CheckSpec, rec: Recorder, parts: Sequence[tuple]) -> list[dict]:
+    """Compare ``series.<builder>`` with the oracle ``target`` at each sample of
+    every part ``(target, builder, grid[, keep])``; return the points used.
 
     ``grid(order)`` lists (label, builder arguments, evaluation point); a
     point of None means the builder returns (point, series) itself.  The
-    oracle is zero below n = ``start``.
+    oracle is zero at each n with ``keep(n)`` false.
     """
-    polys = _oracle_polys(target, spec, start)
-    build = getattr(series, builder)  # by name, so a rebound builder is the one run
-    for label, args, point in grid(spec.order):
-        rhs = build(*args, spec.order)
-        if point is None:
-            point, rhs = rhs
-        _check_series_against(rec, rhs, [F(0) if poly is None else poly.evaluate(point)
-                                         for poly in polys], label)
+    points = []
+    for target, builder, grid, *keep in parts:
+        polys = [specialized_poly(n, target, cap=spec.cap) if not keep or keep[0](n) else None
+                 for n in range(spec.order + 1)]
+        build = getattr(series, builder)  # by name, so a rebound builder is the one run
+        for label, args, point in grid(spec.order):
+            rhs = build(*args, spec.order)
+            if point is None:
+                point, rhs = rhs
+            points.append(point)
+            _check_series_against(rec, rhs, [F(0) if poly is None else poly.evaluate(point)
+                                             for poly in polys], f"{builder} at {label}")
+    return points
 
 
-def _sampled(check_id: str, description: str, target: str, builder: str,
-             grid: Callable[[int], list], note: str, start: int = 0) -> CheckDef:
+def _sampled(check_id: str, description: str, parts: Sequence[tuple], note: str) -> CheckDef:
     """An exact-sampled row run by ``_run_samples``; ``note`` is formatted with
     the order, the per-variable grid size and the number of root pairs."""
     def run(spec: CheckSpec, rec: Recorder) -> None:
-        _run_samples(spec, rec, target, builder, grid, start)
+        _run_samples(spec, rec, parts)
         rec.note(note.format(order=spec.order, size=len(x_grid(spec.order)),
                              pairs=len(ROOT_PAIRS)))
     return CheckDef(check_id, "exact-sampled", description, run, order=9)
+
+
+def _hyp_identity(check_id: str, description: str,
+                  numeric: Callable[[float, float, float], tuple[complex, complex]],
+                  params: Sequence[tuple[float, float, float]],
+                  exact: Callable[[Fraction, Fraction, Fraction], tuple[Series, Series]],
+                  triples: Sequence[tuple[Fraction, Fraction, Fraction]], note: str) -> CheckDef:
+    """A numeric row for a 1F1 identity: the two float sides ``numeric(a, b, z)``
+    at each of ``params``, then the two order-12 series ``exact(a, b, c)`` of
+    1F1(.; .; c t^2) at each of ``triples``, coefficient by coefficient."""
+    def run(spec: CheckSpec, rec: Recorder) -> None:
+        for a, b, z in params:
+            lhs, rhs = numeric(a, b, z)
+            rec.residual((lhs - rhs).real, spec.tol, f"numeric at (a={a}, b={b}, z={z})")
+        for a, b, c in triples:
+            lhs, rhs = exact(a, b, c)
+            rec.equal(list(lhs.coeffs), list(rhs.coeffs), f"series level at (a={a}, b={b}, c={c})")
+        rec.note(note)
+    return CheckDef(check_id, "numeric", description, run, tol=1e-10)
 
 
 def _derivative(check_id: str, description: str, grammar: str, seed: str, first: int,
@@ -383,47 +405,20 @@ def _run_grammar_chain(spec: CheckSpec, rec: Recorder) -> None:
 
 
 # -- exact-sampled runners of other shapes ---------------------------------------
+# (elizalde-noy also certifies that its y samples are distinct; involutions
+# compares with a brute-force count over S_n for n <= n_max, not a grid)
 
 
 def _run_elizalde_noy(spec: CheckSpec, rec: Recorder) -> None:
-    polys = _oracle_polys("U", spec)
-    seen = set()
-    roots = en_roots(spec.order)
-    for a in roots:
-        y, rhs = rhs_elizalde_noy(a, spec.order)
-        seen.add(y)
-        _check_series_against(rec, rhs, [poly.evaluate({"y": y}) for poly in polys],
-                              f"a={a} (y={y})")
-    rec.equal(len(seen), len(roots), "samples give distinct y values")
+    points = _run_samples(spec, rec, [("U", "rhs_elizalde_noy", _roots)])
+    seen = {point["y"] for point in points}
+    rec.equal(len(seen), len(points), "samples give distinct y values")
     rec.note(f"double-descent closed form matches enumeration at {len(seen)} distinct y, "
              f"orders 0..{spec.order}")
 
 
-def _run_kitaev(spec: CheckSpec, rec: Recorder) -> None:
-    _run_samples(spec, rec, "Tbar", "rhs_tbar",
-                 lambda order: [("x=0 marginal", (F(0),), {"x": F(0)})])
-    _run_samples(spec, rec, "Ttilde", "rhs_ttilde",
-                 lambda order: [("y=0 marginal", (F(0),), {"y": F(0)})])
-    rec.note(f"avoider counts match both x=0 and y=0 specializations through t^{spec.order}")
-
-
-def _run_ta(spec: CheckSpec, rec: Recorder) -> None:
-    polys = _oracle_polys("TA", spec)
-    xs, ys = x_grid(spec.order), y_grid(spec.order)
-    for x in xs:
-        for y in ys:
-            values = [poly.evaluate({"x": x, "y": y}) for poly in polys]
-            for parity, name, rhs in ((0, "even", rhs_ta_even(x, y, spec.order)),
-                                      (1, "odd", rhs_ta_odd(x, y, spec.order))):
-                _check_series_against(
-                    rec, rhs, [v if n % 2 == parity else F(0) for n, v in enumerate(values)],
-                    f"{name} part at ({x},{y})")
-    rec.note(f"alternating closed form matches enumeration in both parities on a "
-             f"{len(xs)}x{len(ys)} grid")
-
-
 def _run_involutions(spec: CheckSpec, rec: Recorder) -> None:
-    rhs = rhs_involutions(spec.n_max)
+    rhs = series.rhs_involutions(spec.n_max)
     ns = range(spec.n_max + 1)
     _check_series_against(rec, rhs, [F(involution_count(n, spec.cap)) for n in ns],
                           "involution count")
@@ -508,36 +503,6 @@ def _run_pcf_rec(spec: CheckSpec, rec: Recorder) -> None:
     rec.note("ladder recurrences hold to 1e-10 and the scaled Weber equation to 1e-8")
 
 
-def _run_kummer(spec: CheckSpec, rec: Recorder) -> None:
-    for a in (0.3, 1.2, -0.7):
-        for b in (0.5, 1.7):
-            for z in (-2.5, -1.0, 0.8, 3.0):
-                lhs = specialfn.hyp1f1(a, b, z)
-                rhs = math.exp(z) * specialfn.hyp1f1(b - a, b, -z)
-                rec.residual((lhs - rhs).real, spec.tol, f"numeric at (a={a}, b={b}, z={z})")
-    for a, b, c in ((F(1, 3), F(5, 2), F(2)), (F(-1, 2), F(1, 2), F(3, 2)), (F(2), F(7, 2), F(-3, 2))):
-        lhs = hyp1f1_ct2(a, b, c, 12)
-        rhs = exp_poly(0, c, 12) * hyp1f1_ct2(b - a, b, -c, 12)
-        rec.equal([lhs[n] for n in range(13)], [rhs[n] for n in range(13)],
-                  f"series level at (a={a}, b={b}, c={c})")
-    rec.note("Kummer transformation holds numerically and exactly at series level")
-
-
-def _run_contiguous(spec: CheckSpec, rec: Recorder) -> None:
-    for a in (0.4, -1.3):
-        for b in (1.7, 2.5):
-            for z in (-2.0, 1.5):
-                lhs = (1 + a - b) * specialfn.hyp1f1(a, b, z)
-                rhs = a * specialfn.hyp1f1(a + 1, b, z) + (1 - b) * specialfn.hyp1f1(a, b - 1, z)
-                rec.residual((lhs - rhs).real, spec.tol, f"numeric at (a={a}, b={b}, z={z})")
-    for a, b, c in ((F(1, 3), F(5, 2), F(2)), (F(-2, 3), F(3, 2), F(-1)), (F(5, 4), F(7, 2), F(1, 2))):
-        lhs = (1 + a - b) * hyp1f1_ct2(a, b, c, 12)
-        rhs = a * hyp1f1_ct2(a + 1, b, c, 12) + (1 - b) * hyp1f1_ct2(a, b - 1, c, 12)
-        rec.equal([lhs[n] for n in range(13)], [rhs[n] for n in range(13)],
-                  f"series level at (a={a}, b={b}, c={c})")
-    rec.note("contiguous relation holds numerically and exactly at series level")
-
-
 # -- registry -------------------------------------------------------------------
 
 
@@ -552,8 +517,9 @@ class CheckDef:
     tol: float | None = None
 
 
-# Oracles are lambdas, so functions of other modules are looked up when a
-# check runs and a rebound one is the one called.
+# Oracles and 1F1 sides are lambdas and builders are named by string, so
+# functions of other modules are looked up when a check runs and a rebound
+# one is the one called.
 _REGISTRY_ENTRIES = (
     _derivative("thm-P", "D^n(z) equals the exterior-scheme enumeration", "G", "z", 0,
                 lambda g, n, cap: enumerate_poly(n, "P", cap=cap),
@@ -598,34 +564,42 @@ _REGISTRY_ENTRIES = (
                 lambda g, n, cap: specialized_poly(n, "Fu", cap=cap),
                 "four-variable distribution at n={n}",
                 "D^n(z) under g3 equals the exterior-peak/descent enumeration, n <= {n_max}"),
-    _sampled("gessel", "exterior-peak generating function", "Gessel-T", "rhs_gessel",
-             _line("x"), "exterior-peak closed form matches enumeration at {size} points, "
+    _sampled("gessel", "exterior-peak generating function",
+             [("Gessel-T", "rhs_gessel", _line("x"))],
+             "exterior-peak closed form matches enumeration at {size} points, "
              "orders 0..{order} (coefficient degree <= {order} < grid size)"),
     CheckDef("elizalde-noy", "exact-sampled",
              "proper-double-descent generating function", _run_elizalde_noy, order=9),
-    _sampled("barry-basset", "no-proper-double-descent generating function", "U",
-             "rhs_barry_basset", lambda order: [("U(n,0)", (), {"y": F(0)})],
+    _sampled("barry-basset", "no-proper-double-descent generating function",
+             [("U", "rhs_barry_basset", lambda order: [("U(n,0)", (), {"y": F(0)})])],
              "no-proper-double-descent counts match exp(t/2)/(E - O/2) through t^{order}"),
-    _sampled("fu", "four-variable generating function via root sampling", "Fu", "rhs_fu",
-             _root_pairs, "four-variable closed form matches enumeration on {pairs} root pairs "
+    _sampled("fu", "four-variable generating function via root sampling",
+             [("Fu", "rhs_fu", _root_pairs)],
+             "four-variable closed form matches enumeration on {pairs} root pairs "
              "x {size} y-samples (y-degree of coefficient n is <= n <= {order})"),
-    _sampled("carlitz-scoville", "peak/valley generating function via root sampling", "F",
-             "rhs_carlitz_scoville", _root_pairs,
-             "peak/valley closed form matches enumeration on {pairs} root pairs x {size} y-samples",
-             start=1),
-    _sampled("ln", "consecutive-231/321 generating function", "L", "rhs_l", _line("x"),
+    _sampled("carlitz-scoville", "peak/valley generating function via root sampling",
+             [("F", "rhs_carlitz_scoville", _root_pairs, lambda n: n >= 1)],
+             "peak/valley closed form matches enumeration on {pairs} root pairs x {size} y-samples"),
+    _sampled("ln", "consecutive-231/321 generating function", [("L", "rhs_l", _line("x"))],
              "consecutive-231/321 closed form matches enumeration at {size} points"),
-    _sampled("tn", "joint exterior-peak-pattern generating function", "T", "rhs_t", _plane,
+    _sampled("tn", "joint exterior-peak-pattern generating function", [("T", "rhs_t", _plane)],
              "joint peak-pattern closed form matches enumeration on a {size}x{size} grid "
              "(degree <= {order} in each variable)"),
-    _sampled("tbar", "132-pattern marginal generating function", "Tbar", "rhs_tbar", _line("x"),
+    _sampled("tbar", "132-pattern marginal generating function",
+             [("Tbar", "rhs_tbar", _line("x"))],
              "132-pattern marginal matches enumeration at {size} points"),
-    _sampled("ttilde", "231-pattern marginal generating function", "Ttilde", "rhs_ttilde",
-             _line("y"), "231-pattern marginal matches enumeration at {size} points"),
-    CheckDef("kitaev", "exact-sampled",
-             "avoider specializations at x=0 and y=0", _run_kitaev, order=9),
-    CheckDef("ta", "exact-sampled",
-             "alternating-permutation generating function, both parities", _run_ta, order=9),
+    _sampled("ttilde", "231-pattern marginal generating function",
+             [("Ttilde", "rhs_ttilde", _line("y"))],
+             "231-pattern marginal matches enumeration at {size} points"),
+    _sampled("kitaev", "avoider specializations at x=0 and y=0",
+             [("Tbar", "rhs_tbar", lambda order: [("x=0", (F(0),), {"x": F(0)})]),
+              ("Ttilde", "rhs_ttilde", lambda order: [("y=0", (F(0),), {"y": F(0)})])],
+             "avoider counts match both x=0 and y=0 specializations through t^{order}"),
+    _sampled("ta", "alternating-permutation generating function, both parities",
+             [("TA", "rhs_ta_even", _plane, lambda n: n % 2 == 0),
+              ("TA", "rhs_ta_odd", _plane, lambda n: n % 2 == 1)],
+             "alternating closed form matches enumeration in both parities on a "
+             "{size}x{size} grid"),
     CheckDef("involutions", "exact-sampled",
              "involution counts from exp(t + t^2/2) and L_n(0)", _run_involutions, n_max=8),
     CheckDef("genp-num", "numeric", "main exterior-scheme closed form vs exact series",
@@ -638,10 +612,24 @@ _REGISTRY_ENTRIES = (
              "integer-order cylinder functions", _run_pcf_closed, tol=1e-12),
     CheckDef("pcf-rec", "numeric",
              "cylinder ladder recurrences and scaled Weber equation", _run_pcf_rec, tol=1e-10),
-    CheckDef("kummer", "numeric",
-             "Kummer transformation, numeric and series level", _run_kummer, tol=1e-10),
-    CheckDef("contiguous", "numeric",
-             "contiguous 1F1 relation, numeric and series level", _run_contiguous, tol=1e-10),
+    _hyp_identity("kummer", "Kummer transformation, numeric and series level",
+                  lambda a, b, z: (specialfn.hyp1f1(a, b, z),
+                                   math.exp(z) * specialfn.hyp1f1(b - a, b, -z)),
+                  tuple(itertools.product((0.3, 1.2, -0.7), (0.5, 1.7), (-2.5, -1.0, 0.8, 3.0))),
+                  lambda a, b, c: (series.hyp1f1_ct2(a, b, c, 12),
+                                   series.exp_poly(0, c, 12) * series.hyp1f1_ct2(b - a, b, -c, 12)),
+                  ((F(1, 3), F(5, 2), F(2)), (F(-1, 2), F(1, 2), F(3, 2)), (F(2), F(7, 2), F(-3, 2))),
+                  "Kummer transformation holds numerically and exactly at series level"),
+    _hyp_identity("contiguous", "contiguous 1F1 relation, numeric and series level",
+                  lambda a, b, z: ((1 + a - b) * specialfn.hyp1f1(a, b, z),
+                                   a * specialfn.hyp1f1(a + 1, b, z)
+                                   + (1 - b) * specialfn.hyp1f1(a, b - 1, z)),
+                  tuple(itertools.product((0.4, -1.3), (1.7, 2.5), (-2.0, 1.5))),
+                  lambda a, b, c: ((1 + a - b) * series.hyp1f1_ct2(a, b, c, 12),
+                                   a * series.hyp1f1_ct2(a + 1, b, c, 12)
+                                   + (1 - b) * series.hyp1f1_ct2(a, b - 1, c, 12)),
+                  ((F(1, 3), F(5, 2), F(2)), (F(-2, 3), F(3, 2), F(-1)), (F(5, 4), F(7, 2), F(1, 2))),
+                  "contiguous relation holds numerically and exactly at series level"),
 )
 
 REGISTRY = {entry.check_id: entry for entry in _REGISTRY_ENTRIES}
@@ -697,11 +685,6 @@ def run_check(check_id: str, n_max: int | None = None, order: int | None = None,
     )
 
 
-def _run_by_id(args: tuple[str, int | None, int | None, float | None, int]) -> Report:
-    check_id, n_max, order, tol, cap = args
-    return run_check(check_id, n_max=n_max, order=order, tol=tol, cap=cap)
-
-
 def run_many(ids: Sequence[str], n_max: int | None = None, order: int | None = None,
              tol: float | None = None, cap: int = DEFAULT_CAP, jobs: int = 1) -> list[Report]:
     """Run several checks, optionally in a process pool; reports come back
@@ -713,5 +696,6 @@ def run_many(ids: Sequence[str], n_max: int | None = None, order: int | None = N
     if jobs > 1 and len(ordered) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_by_id, [(cid, n_max, order, tol, cap) for cid in ordered]))
+            return list(pool.map(functools.partial(run_check, n_max=n_max, order=order,
+                                                   tol=tol, cap=cap), ordered))
     return [run_check(cid, n_max=n_max, order=order, tol=tol, cap=cap) for cid in ordered]

@@ -22,8 +22,7 @@ import sys
 from pathlib import Path
 
 from . import checks, perms, sequences
-from .algebra import AlgebraError
-from .grammar import GrammarError, builtin_names, resolve_grammar
+from .grammar import builtin_names, resolve_grammar
 from .perms import DEFAULT_CAP, ENUMERATED_FAMILIES, SPECIALIZED_TARGETS
 
 USAGE_ERROR = 2
@@ -135,12 +134,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print("error: --jobs must be at least 1", file=sys.stderr)
         return USAGE_ERROR
     ids = list(checks.check_ids()) if args.check == "all" else [args.check]
-    try:
-        reports = checks.run_many(ids, n_max=args.n_max, order=args.order,
-                                  tol=args.tol, cap=args.cap, jobs=args.jobs)
-    except checks.UnknownCheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    reports = checks.run_many(ids, n_max=args.n_max, order=args.order,
+                              tol=args.tol, cap=args.cap, jobs=args.jobs)
     for report in reports:
         print(report.summary())
     passed = sum(report.passed for report in reports)
@@ -164,12 +159,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_oeis(args: argparse.Namespace) -> int:
-    try:
-        comparison = sequences.compare_file(args.local, args.ref, column=args.column)
-    except (OSError, sequences.SequenceFormatError) as exc:
-        # covers missing files and missing cache entries
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    comparison = sequences.compare_file(args.local, args.ref, column=args.column)
     print(comparison.describe())
     return 0 if comparison.passed else 1
 
@@ -186,7 +176,9 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_verify(args)
         if args.command == "oeis":
             return _cmd_oeis(args)
-    except (AlgebraError, GrammarError, perms.EnumerationCapError, ValueError) as exc:
+    # every error of this package is a ValueError; OSError covers paths that
+    # cannot be read or written
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     raise AssertionError("unreachable")

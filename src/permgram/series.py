@@ -19,15 +19,11 @@ import math
 from fractions import Fraction
 from typing import Iterable, Union
 
-Scalar = Union[int, Fraction]
+from .algebra import Scalar, _as_fraction
 
 
 class SamplingError(ValueError):
     """Degenerate parameter sample for a closed-form builder."""
-
-
-def _frac(value: Scalar) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 class Series:
@@ -36,7 +32,7 @@ class Series:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar]):
-        self.coeffs = tuple(_frac(c) for c in coeffs)
+        self.coeffs = tuple(_as_fraction(c) for c in coeffs)
         if not self.coeffs:
             raise ValueError("a series needs at least its constant term")
 
@@ -46,7 +42,7 @@ class Series:
 
     @classmethod
     def const(cls, value: Scalar, order: int) -> "Series":
-        return cls([_frac(value)] + [Fraction(0)] * order)
+        return cls([_as_fraction(value)] + [Fraction(0)] * order)
 
     @classmethod
     def one(cls, order: int) -> "Series":
@@ -86,7 +82,7 @@ class Series:
 
     def __mul__(self, other: Union["Series", Scalar]) -> "Series":
         if not isinstance(other, Series):
-            c = _frac(other)
+            c = _as_fraction(other)
             return Series([coeff * c for coeff in self.coeffs])
         shared = min(self.order, other.order)
         out = []
@@ -99,7 +95,7 @@ class Series:
 
     def __truediv__(self, other: Union["Series", Scalar]) -> "Series":
         if not isinstance(other, Series):
-            c = _frac(other)
+            c = _as_fraction(other)
             return Series([coeff / c for coeff in self.coeffs])
         if other.coeffs[0] == 0:
             raise ZeroDivisionError("series divisor has zero constant term")
@@ -140,7 +136,7 @@ class Series:
 
 def exp_poly(c1: Scalar, c2: Scalar, order: int) -> Series:
     """Series of exp(c1*t + c2*t^2), via f' = (c1 + 2 c2 t) f."""
-    c1, c2 = _frac(c1), _frac(c2)
+    c1, c2 = _as_fraction(c1), _as_fraction(c2)
     coeffs = [Fraction(1)]
     for n in range(order):
         nxt = c1 * coeffs[n]
@@ -153,7 +149,7 @@ def exp_poly(c1: Scalar, c2: Scalar, order: int) -> Series:
 def hyp1f1_ct2(a: Scalar, b: Scalar, c: Scalar, order: int) -> Series:
     """Confluent hypergeometric 1F1(a; b; c*t^2) as an exact series:
     coefficient of t^{2n} is (a)_n c^n / ((b)_n n!), odd coefficients zero."""
-    a, b, c = _frac(a), _frac(b), _frac(c)
+    a, b, c = _as_fraction(a), _as_fraction(b), _as_fraction(c)
     coeffs = [Fraction(0)] * (order + 1)
     term = Fraction(1)
     coeffs[0] = term
@@ -172,7 +168,7 @@ def trig_sqrt(q: Scalar, order: int) -> tuple[Series, Series]:
     For q > 0 these are cosh(sqrt(q) t) and sinh(sqrt(q) t)/sqrt(q); for
     q < 0 they are cos and sin of sqrt(-q) t (scaled); both stay rational.
     """
-    q = _frac(q)
+    q = _as_fraction(q)
     even = [Fraction(0)] * (order + 1)
     odd = [Fraction(0)] * (order + 1)
     power = Fraction(1)
@@ -190,21 +186,22 @@ def trig_sqrt(q: Scalar, order: int) -> tuple[Series, Series]:
 
 def rhs_gessel(x: Scalar, order: int) -> Series:
     """Exterior peaks: 1/(E(1-x) - O(1-x)) with the even/odd pair above."""
-    even, odd = trig_sqrt(1 - _frac(x), order)
+    even, odd = trig_sqrt(1 - _as_fraction(x), order)
     return Series.one(order) / (even - odd)
 
 
-def rhs_elizalde_noy(a: Scalar, order: int) -> tuple[Fraction, Series]:
+def rhs_elizalde_noy(a: Scalar, order: int) -> tuple[dict[str, Fraction], Series]:
     """Proper double descents, sampled through y = a + 1/a - 1 so that
-    sqrt((y-1)(y+3)) = |a - 1/a| is rational.  Returns (y, series)."""
-    a = _frac(a)
+    sqrt((y-1)(y+3)) = |a - 1/a| is rational.  Returns the evaluation
+    point {y} and the series."""
+    a = _as_fraction(a)
     if a in (0, 1, -1):
         raise SamplingError("root parameter a must avoid 0 and +-1")
     y = a + 1 / a - 1
     s = a - 1 / a
     numerator = 2 * s * exp_poly((1 - y + s) / 2, 0, order)
     denominator = (1 + y + s) - (1 + y - s) * exp_poly(s, 0, order)
-    return y, numerator / denominator
+    return {"y": y}, numerator / denominator
 
 
 def rhs_barry_basset(order: int) -> Series:
@@ -218,7 +215,7 @@ def rhs_fu(a: Scalar, b: Scalar, y: Scalar, order: int) -> tuple[dict[str, Fract
     """Exterior peaks and proper double descents, four variables, sampled
     with xz = ab and y + w = a + b so sqrt((y+w)^2 - 4xz) = |a-b|.
     Returns the evaluation point {x, y, z, w} and the series."""
-    a, b, y = _frac(a), _frac(b), _frac(y)
+    a, b, y = _as_fraction(a), _as_fraction(b), _as_fraction(y)
     if a == b:
         raise SamplingError("root parameters must be distinct")
     d = a - b
@@ -232,7 +229,7 @@ def rhs_fu(a: Scalar, b: Scalar, y: Scalar, order: int) -> tuple[dict[str, Fract
 def rhs_carlitz_scoville(a: Scalar, b: Scalar, y: Scalar, order: int) -> tuple[dict[str, Fraction], Series]:
     """Peaks/valleys/double descents/double rises with roots alpha=a,
     beta=b: (e^{bt} - e^{at}) / (b e^{at} - a e^{bt}), xz = ab, y + w = a + b."""
-    a, b, y = _frac(a), _frac(b), _frac(y)
+    a, b, y = _as_fraction(a), _as_fraction(b), _as_fraction(y)
     if a == b:
         raise SamplingError("root parameters must be distinct")
     w = a + b - y
@@ -247,7 +244,7 @@ def rhs_l(x: Scalar, order: int) -> Series:
     t+1 to 1 in the closed form, shifted by s = 1 + u, cancels the
     prefactor and leaves E/(1 - x * integral(E)) with
     E = exp((1-x)(t + t^2/2)), which is rational term by term."""
-    x = _frac(x)
+    x = _as_fraction(x)
     e = exp_poly(1 - x, (1 - x) / 2, order)
     return e / (Series.one(order) - x * e.integrate())
 
@@ -256,7 +253,7 @@ def rhs_t(x: Scalar, y: Scalar, order: int) -> Series:
     """Joint exterior-peak patterns:
     e^{(x-y)t^2/2} / (1F1(a; 1/2; c t^2) - t * 1F1(a + 1/2; 3/2; c t^2))
     with a = (1-y)/(2(x-y)) and c = (x-y)/2."""
-    x, y = _frac(x), _frac(y)
+    x, y = _as_fraction(x), _as_fraction(y)
     if x == y:
         raise SamplingError("x = y is degenerate here; use the single-variable form")
     a = (1 - y) / (2 * (x - y))
@@ -268,21 +265,21 @@ def rhs_t(x: Scalar, y: Scalar, order: int) -> Series:
 
 def rhs_tbar(x: Scalar, order: int) -> Series:
     """Exterior 132-peaks alone: e^{(x-1)t^2/2}/(1 - int_0^t e^{(x-1)s^2/2} ds)."""
-    x = _frac(x)
+    x = _as_fraction(x)
     e = exp_poly(0, (x - 1) / 2, order)
     return e / (Series.one(order) - e.integrate())
 
 
 def rhs_ttilde(y: Scalar, order: int) -> Series:
     """Exterior 231-peaks alone: 1/(1 - int_0^t e^{(y-1)s^2/2} ds)."""
-    y = _frac(y)
+    y = _as_fraction(y)
     return Series.one(order) / (Series.one(order) - exp_poly(0, (y - 1) / 2, order).integrate())
 
 
 def rhs_ta_even(x: Scalar, y: Scalar, order: int) -> Series:
     """Alternating permutations of even length:
     e^{(x-y)t^2/2} / 1F1(-y/(2(x-y)); 1/2; (x-y)t^2/2)."""
-    x, y = _frac(x), _frac(y)
+    x, y = _as_fraction(x), _as_fraction(y)
     if x == y:
         raise SamplingError("x = y is degenerate in the alternating builder")
     c = (x - y) / 2
@@ -293,7 +290,7 @@ def rhs_ta_odd(x: Scalar, y: Scalar, order: int) -> Series:
     """Alternating permutations of odd length:
     t e^{(x-y)t^2/2} 1F1(x/(2(x-y)); 3/2; -(x-y)t^2/2)
       / 1F1(-y/(2(x-y)); 1/2; (x-y)t^2/2)."""
-    x, y = _frac(x), _frac(y)
+    x, y = _as_fraction(x), _as_fraction(y)
     if x == y:
         raise SamplingError("x = y is degenerate in the alternating builder")
     c = (x - y) / 2

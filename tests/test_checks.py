@@ -149,15 +149,64 @@ def test_brute_force_checks_respect_the_cap(check_id):
         "EnumerationCapError: n=6 exceeds the enumeration cap 5")
 
 
+# What every report compared and noted at n_max=3, order=3, as the checks
+# counted before their runners became rows: a fold that drops or repeats a
+# comparison changes a count here.
+COUNTS_AT_3 = {
+    "thm-P": (4, "D^n(z) equals the exterior-scheme enumeration for 0 <= n <= 3"),
+    "thm-Q": (3, "D^n(w) equals the peak-scheme enumeration for 1 <= n <= 3"),
+    "w-cor": (3, "D^n(w) at v=z equals the valley-marked enumeration for 1 <= n <= 3"),
+    "insertion": (10, "summed child weights equal D(weight) for every permutation, n <= 3"),
+    "conv": (3, "P_(n+1) = sum C(n,k) P_k Q_(n-k) with Q_0 = w for 1 <= n <= 3"),
+    "ode": (9, "f'' - (gamma/8 t^2 + beta/4 t + alpha/4) f vanishes through t^3"),
+    "gen-x1z": (4, "D^n(x^-1 z) matches its binomial closed form through n = 3"),
+    "quotient": (4, "Gen(z)^2 Gen(x^-1/2 z^-1/2)^2 = Gen(x^-1 z) through t^3"),
+    "stats-id": (28, "consecutive-pattern, peak/valley, and labeling identities hold for n <= 3"),
+    "grammar-chain": (30, "G reduces to g1, g2, g3 and the reductions commute with D up to n = 3"),
+    "g1-eulerian": (4, "D^n(x) under g1 at y=1 equals x times the descent polynomial, n <= 3"),
+    "g2-exterior": (4, "D^n(x) under g2 equals sum x^(2k+1) y^(n-2k) over exterior-peak "
+                       "counts, n <= 3"),
+    "g3-fu": (4, "D^n(z) under g3 equals the exterior-peak/descent enumeration, n <= 3"),
+    "gessel": (40, "exterior-peak closed form matches enumeration at 10 points, orders 0..3 "
+                   "(coefficient degree <= 3 < grid size)"),
+    "elizalde-noy": (41, "double-descent closed form matches enumeration at 10 distinct y, "
+                         "orders 0..3"),
+    "barry-basset": (4, "no-proper-double-descent counts match exp(t/2)/(E - O/2) through t^3"),
+    "fu": (200, "four-variable closed form matches enumeration on 5 root pairs x 10 y-samples "
+                "(y-degree of coefficient n is <= n <= 3)"),
+    "carlitz-scoville": (200, "peak/valley closed form matches enumeration on 5 root pairs "
+                              "x 10 y-samples"),
+    "ln": (40, "consecutive-231/321 closed form matches enumeration at 10 points"),
+    "tn": (400, "joint peak-pattern closed form matches enumeration on a 10x10 grid "
+                "(degree <= 3 in each variable)"),
+    "tbar": (40, "132-pattern marginal matches enumeration at 10 points"),
+    "ttilde": (40, "231-pattern marginal matches enumeration at 10 points"),
+    "kitaev": (8, "avoider counts match both x=0 and y=0 specializations through t^3"),
+    "ta": (800, "alternating closed form matches enumeration in both parities on a 10x10 grid"),
+    "involutions": (8, "involution counts match exp(t + t^2/2) and L_n(0) for n <= 3"),
+    "genp-num": (5, "exterior-scheme closed form matches the exact N=25 truncation at "
+                    "5 box samples"),
+    "genq-num": (5, "peak-scheme closed form matches the exact N=25 truncation at 5 box samples"),
+    "pcf-closed": (22, "integer-order cylinder functions match their elementary closed forms"),
+    "pcf-rec": (153, "ladder recurrences hold to 1e-10 and the scaled Weber equation to 1e-8"),
+    "kummer": (27, "Kummer transformation holds numerically and exactly at series level"),
+    "contiguous": (11, "contiguous relation holds numerically and exactly at series level"),
+}
+
+
 def test_provenance_names_the_grammars_each_check_used():
     uses = {"thm-P": "G", "thm-Q": "G", "w-cor": "G", "insertion": "G", "ode": "G",
             "gen-x1z": "G", "quotient": "G", "genp-num": "G", "genq-num": "G",
             "grammar-chain": "G g1 g2 g3", "g1-eulerian": "g1", "g2-exterior": "g2",
             "g3-fu": "g3"}
-    for report in run_many(list(check_ids()), n_max=3, order=3):
+    reports = run_many(list(check_ids()), n_max=3, order=3)
+    assert [report.spec.check_id for report in reports] == list(COUNTS_AT_3)
+    for report in reports:
         names = uses.get(report.spec.check_id, "").split()
         assert report.passed, report.spec.check_id
         assert report.provenance["grammar_sha256"] == {name: builtin_hash(name) for name in names}
+        checked, note = COUNTS_AT_3[report.spec.check_id]
+        assert (report.checked, report.details) == (checked, [note]), report.spec.check_id
 
 
 def test_sample_grids_cover_the_degree_bound():
@@ -170,9 +219,34 @@ def test_sample_grids_cover_the_degree_bound():
     assert x_grid(9) == X_GRID and len(x_grid(16)) == 17
 
 
-def test_sampled_check_can_fail(monkeypatch):
-    monkeypatch.setattr(series, "rhs_ttilde", series.rhs_tbar)
-    report = run_check("ttilde", order=5)
+# A wrong but well-formed builder for each exact-sampled check, bound now so
+# that each one calls the original builders.
+WRONG_BUILDERS = {
+    "gessel": {"rhs_gessel": series.rhs_l},
+    "elizalde-noy": {"rhs_elizalde_noy": lambda a, order, en=series.rhs_elizalde_noy:
+                     (en(a, order)[0], en(a + 1, order)[1])},
+    "barry-basset": {"rhs_barry_basset": series.rhs_involutions},
+    "fu": {"rhs_fu": lambda a, b, y, order, fu=series.rhs_fu, cs=series.rhs_carlitz_scoville:
+           (fu(a, b, y, order)[0], cs(a, b, y, order)[1])},
+    "carlitz-scoville": {"rhs_carlitz_scoville": series.rhs_fu},
+    "ln": {"rhs_l": series.rhs_gessel},
+    "tn": {"rhs_t": series.rhs_ta_even},
+    "tbar": {"rhs_tbar": series.rhs_ttilde},
+    "ttilde": {"rhs_ttilde": series.rhs_tbar},
+    "kitaev": {"rhs_tbar": series.rhs_ttilde},
+    "ta": {"rhs_ta_even": series.rhs_ta_odd, "rhs_ta_odd": series.rhs_ta_even},
+    "involutions": {"rhs_involutions": lambda order: series.exp_poly(1, 1, order)},
+}
+
+
+@pytest.mark.parametrize("check_id", list(WRONG_BUILDERS))
+def test_sampled_check_can_fail(check_id, monkeypatch):
+    # every exact-sampled check looks its builders up on ``series`` when it runs
+    assert set(WRONG_BUILDERS) == {entry.check_id for entry in REGISTRY.values()
+                                   if entry.mode == "exact-sampled"}
+    for name, wrong in WRONG_BUILDERS[check_id].items():
+        monkeypatch.setattr(series, name, wrong)
+    report = run_check(check_id, n_max=5, order=5)
     assert not report.passed
     assert "coefficient of t^" in report.counterexample
 

@@ -92,6 +92,16 @@ def test_verify_unknown_id(capsys):
     assert "unknown check" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["derive", "--grammar", "{dir}", "--seed", "x", "--n", "1"],
+    ["enumerate", "--family", "L", "--n", "3", "--csv", "{dir}/missing/x.csv"],
+    ["verify", "pcf-closed", "--json", "{dir}/missing/r.json"],
+], ids=["derive-grammar-is-a-directory", "enumerate-csv", "verify-json"])
+def test_a_bad_path_is_a_usage_error(argv, tmp_path, capsys):
+    assert main([arg.format(dir=tmp_path) for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_verify_list(capsys):
     assert main(["verify", "all", "--list"]) == 0
     out = capsys.readouterr().out

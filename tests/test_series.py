@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from permgram.algebra import AlgebraError
 from permgram.perms import specialized_poly
 from permgram.series import (SamplingError, Series, exp_poly, hyp1f1_ct2,
                              rhs_barry_basset, rhs_carlitz_scoville, rhs_elizalde_noy,
@@ -74,6 +75,16 @@ def test_exp_poly():
         term = term * base / k
         direct = direct + term
     assert exp_poly(1, 1, 6) == direct
+
+
+def test_a_float_parameter_is_refused():
+    # 0.1 is not the rational 1/10, so no builder takes it as a coefficient
+    with pytest.raises(AlgebraError):
+        exp_poly(0.1, 0, 3)
+    with pytest.raises(AlgebraError):
+        Series([1, 0.5])
+    with pytest.raises(AlgebraError):
+        Series.one(3) * 0.5
 
 
 def test_exp_poly_inverse_pair():
