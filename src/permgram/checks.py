@@ -20,6 +20,12 @@ builders with a specialized oracle on sample grids (``_run_samples`` is the
 one caller of a ``series.rhs_*`` builder), and a ``_hyp_identity`` row checks
 a 1F1 identity in floats and as exact series.  Adding a check means adding a
 row (or, for another shape, a runner); the plumbing never changes.
+
+A runner writes the check's ``Report`` itself: it asks the report for the
+built-in grammars it uses and records each comparison on it (``equal``,
+``poly_equal``, ``residual``; ``fail`` and ``note`` for the rest).
+``run_check`` only times the run, turns a runner's exception into the
+counterexample, fails a run that compared nothing and stamps the provenance.
 """
 
 from __future__ import annotations
@@ -29,14 +35,13 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import perms, series, specialfn
 from .algebra import LaurentPoly, Monomial
-from .grammar import (DerivationCache, Grammar, builtin, builtin_hash, flow_series,
-                      gen_coeffs, gen_product)
+from .grammar import Grammar, builtin, builtin_hash, flow_series, gen_coeffs, gen_product
 from .perms import (DEFAULT_CAP, WEIGHT_VARS, enumerate_poly, involution_count,
                     label_exterior, label_peak, peak_weight, permutations,
                     specialized_poly, stats)
@@ -61,14 +66,19 @@ class CheckSpec:
 
 @dataclass
 class Report:
+    """The record of one check: a runner's comparisons accumulate here, the
+    first counterexample kept verbatim and the built-in grammars it asked
+    for named; ``run_check`` then stamps the time and the provenance."""
+
     spec: CheckSpec
-    passed: bool
-    checked: int
-    details: list[str]
-    counterexample: str | None
-    max_residual: float | None
-    elapsed_s: float
-    provenance: dict
+    passed: bool = True
+    checked: int = 0
+    details: list[str] = field(default_factory=list)
+    counterexample: str | None = None
+    max_residual: float | None = None
+    elapsed_s: float = 0.0
+    provenance: dict = field(default_factory=dict)
+    grammars: set[str] = field(default_factory=set)
 
     def to_dict(self) -> dict:
         return {
@@ -93,25 +103,6 @@ class Report:
         residual = "" if self.max_residual is None else f" max residual {self.max_residual:.2e}"
         return (f"{status}  {self.spec.check_id:<16} {self.spec.mode:<14} "
                 f"{body}{residual} ({self.elapsed_s:.2f}s)")
-
-
-def _json_float(value: float | None) -> float | str | None:
-    """A float for a JSON report: a NaN or an infinity becomes the string
-    "nan" or "inf", which JSON can carry."""
-    return value if value is None or math.isfinite(value) else str(value)
-
-
-class Recorder:
-    """Accumulates comparisons; keeps the first counterexample verbatim and
-    the names of the built-in grammars the check asked for."""
-
-    def __init__(self) -> None:
-        self.checked = 0
-        self.passed = True
-        self.details: list[str] = []
-        self.counterexample: str | None = None
-        self.max_residual: float | None = None
-        self.grammars: set[str] = set()
 
     def grammar(self, name: str) -> Grammar:
         """A built-in grammar, named in the report's provenance."""
@@ -144,6 +135,12 @@ class Recorder:
             self.max_residual = value
         if not value <= tol:  # a NaN residual or tolerance fails too
             self.fail(f"{label}: residual {value:.3e} exceeds {tol:.1e}")
+
+
+def _json_float(value: float | None) -> float | str | None:
+    """A float for a JSON report: a NaN or an infinity becomes the string
+    "nan" or "inf", which JSON can carry."""
+    return value if value is None or math.isfinite(value) else str(value)
 
 
 def _short(value, limit: int = 160) -> str:
@@ -217,14 +214,14 @@ def _roots(order: int) -> list:
 # -- shared comparison loops -----------------------------------------------------
 
 
-def _check_series_against(rec: Recorder, rhs: Series, values: Sequence[Fraction],
+def _check_series_against(rec: Report, rhs: Series, values: Sequence[Fraction],
                           label: str) -> None:
     """Coefficient n of the series against the oracle value over n!."""
     for n, value in enumerate(values):
         rec.equal(rhs[n], value / math.factorial(n), f"{label}, coefficient of t^{n}")
 
 
-def _run_samples(spec: CheckSpec, rec: Recorder, parts: Sequence[tuple]) -> list[dict]:
+def _run_samples(spec: CheckSpec, rec: Report, parts: Sequence[tuple]) -> list[dict]:
     """Compare ``series.<builder>`` with the oracle ``target`` at each sample of
     every part ``(target, builder, grid[, keep])``; return the points used.
 
@@ -250,7 +247,7 @@ def _run_samples(spec: CheckSpec, rec: Recorder, parts: Sequence[tuple]) -> list
 def _sampled(check_id: str, description: str, parts: Sequence[tuple], note: str) -> CheckDef:
     """An exact-sampled row run by ``_run_samples``; ``note`` is formatted with
     the order, the per-variable grid size and the number of root pairs."""
-    def run(spec: CheckSpec, rec: Recorder) -> None:
+    def run(spec: CheckSpec, rec: Report) -> None:
         _run_samples(spec, rec, parts)
         rec.note(note.format(order=spec.order, size=len(x_grid(spec.order)),
                              pairs=len(ROOT_PAIRS)))
@@ -265,7 +262,7 @@ def _hyp_identity(check_id: str, description: str,
     """A numeric row for a 1F1 identity: the two float sides ``numeric(a, b, z)``
     at each of ``params``, then the two order-12 series ``exact(a, b, c)`` of
     1F1(.; .; c t^2) at each of ``triples``, coefficient by coefficient."""
-    def run(spec: CheckSpec, rec: Recorder) -> None:
+    def run(spec: CheckSpec, rec: Report) -> None:
         for a, b, z in params:
             lhs, rhs = numeric(a, b, z)
             rec.residual((lhs - rhs).real, spec.tol, f"numeric at (a={a}, b={b}, z={z})")
@@ -282,11 +279,11 @@ def _derivative(check_id: str, description: str, grammar: str, seed: str, first:
     """An exact-symbolic row: ``lhs(D^n(seed))`` under a built-in grammar
     against ``oracle(g, n, cap)`` for n = first..n_max.  ``label`` is
     formatted with n and ``note`` with n_max."""
-    def run(spec: CheckSpec, rec: Recorder) -> None:
+    def run(spec: CheckSpec, rec: Report) -> None:
         g = rec.grammar(grammar)
-        cache = DerivationCache(g, g.poly(seed))
+        chain = gen_coeffs(g, g.poly(seed), max(spec.n_max, 0))
         for n in range(first, spec.n_max + 1):
-            rec.poly_equal(lhs(cache.upto(n)[n]), oracle(g, n, spec.cap), label.format(n=n))
+            rec.poly_equal(lhs(chain[n]), oracle(g, n, spec.cap), label.format(n=n))
         rec.note(note.format(n_max=spec.n_max))
     return CheckDef(check_id, "exact-symbolic", description, run, n_max=8)
 
@@ -294,7 +291,7 @@ def _derivative(check_id: str, description: str, grammar: str, seed: str, first:
 # -- exact-symbolic runners ----------------------------------------------------
 
 
-def _run_insertion(spec: CheckSpec, rec: Recorder) -> None:
+def _run_insertion(spec: CheckSpec, rec: Report) -> None:
     g = rec.grammar("G")
     for n in range(spec.n_max + 1):
         for perm in permutations(n, spec.cap):
@@ -306,7 +303,7 @@ def _run_insertion(spec: CheckSpec, rec: Recorder) -> None:
     rec.note(f"summed child weights equal D(weight) for every permutation, n <= {spec.n_max}")
 
 
-def _run_conv(spec: CheckSpec, rec: Recorder) -> None:
+def _run_conv(spec: CheckSpec, rec: Report) -> None:
     q0 = LaurentPoly.variable(WEIGHT_VARS, "w")
     p = [enumerate_poly(k, "P", cap=spec.cap) for k in range(spec.n_max + 2)]
     q = [q0] + [enumerate_poly(k, "Q", cap=spec.cap) for k in range(1, spec.n_max + 1)]
@@ -316,7 +313,7 @@ def _run_conv(spec: CheckSpec, rec: Recorder) -> None:
     rec.note(f"P_(n+1) = sum C(n,k) P_k Q_(n-k) with Q_0 = w for 1 <= n <= {spec.n_max}")
 
 
-def _run_ode(spec: CheckSpec, rec: Recorder) -> None:
+def _run_ode(spec: CheckSpec, rec: Report) -> None:
     g = rec.grammar("G")
     seed = g.poly("x^-1/2*z^-1/2")
     coeffs = gen_coeffs(g, seed, spec.order + 2)
@@ -340,7 +337,7 @@ def _run_ode(spec: CheckSpec, rec: Recorder) -> None:
     rec.note(f"f'' - (gamma/8 t^2 + beta/4 t + alpha/4) f vanishes through t^{spec.order}")
 
 
-def _run_gen_x1z(spec: CheckSpec, rec: Recorder) -> None:
+def _run_gen_x1z(spec: CheckSpec, rec: Report) -> None:
     g = rec.grammar("G")
     lhs = gen_coeffs(g, g.poly("x^-1*z"), spec.order)
     front = g.poly("x^-1*z")
@@ -356,7 +353,7 @@ def _run_gen_x1z(spec: CheckSpec, rec: Recorder) -> None:
     rec.note(f"D^n(x^-1 z) matches its binomial closed form through n = {spec.order}")
 
 
-def _run_quotient(spec: CheckSpec, rec: Recorder) -> None:
+def _run_quotient(spec: CheckSpec, rec: Report) -> None:
     g = rec.grammar("G")
     gz = gen_coeffs(g, g.poly("z"), spec.order)
     gs = gen_coeffs(g, g.poly("x^-1/2*z^-1/2"), spec.order)
@@ -367,7 +364,7 @@ def _run_quotient(spec: CheckSpec, rec: Recorder) -> None:
     rec.note(f"Gen(z)^2 Gen(x^-1/2 z^-1/2)^2 = Gen(x^-1 z) through t^{spec.order}")
 
 
-def _run_stats_id(spec: CheckSpec, rec: Recorder) -> None:
+def _run_stats_id(spec: CheckSpec, rec: Report) -> None:
     pat231, pat321 = (2, 3, 1), (3, 2, 1)
     for n in range(spec.n_max + 1):
         for perm in permutations(n, spec.cap):
@@ -382,7 +379,7 @@ def _run_stats_id(spec: CheckSpec, rec: Recorder) -> None:
     rec.note(f"consecutive-pattern, peak/valley, and labeling identities hold for n <= {spec.n_max}")
 
 
-def _run_grammar_chain(spec: CheckSpec, rec: Recorder) -> None:
+def _run_grammar_chain(spec: CheckSpec, rec: Report) -> None:
     g = rec.grammar("G")
     chains = (
         ("g1", {"w": "x", "u": "x", "z": "y", "v": "y"}, "x"),
@@ -395,11 +392,10 @@ def _run_grammar_chain(spec: CheckSpec, rec: Recorder) -> None:
             image = g.rule(var).substitute(chain).with_vars(target.vars)
             rec.poly_equal(image, target.rule(chain.get(var, var)),
                            f"{name}: reduced rule for {var}")
-        full = DerivationCache(g, g.poly(seed_name))
-        reduced = DerivationCache(target, target.poly(seed_name))
+        full = gen_coeffs(g, g.poly(seed_name), max(spec.n_max, 0))
+        reduced = gen_coeffs(target, target.poly(seed_name), max(spec.n_max, 0))
         for n in range(spec.n_max + 1):
-            lhs = full.upto(n)[n].substitute(chain).with_vars(target.vars)
-            rec.poly_equal(lhs, reduced.upto(n)[n],
+            rec.poly_equal(full[n].substitute(chain).with_vars(target.vars), reduced[n],
                            f"{name}: substitution commutes with D at n={n}")
     rec.note(f"G reduces to g1, g2, g3 and the reductions commute with D up to n = {spec.n_max}")
 
@@ -409,7 +405,7 @@ def _run_grammar_chain(spec: CheckSpec, rec: Recorder) -> None:
 # compares with a brute-force count over S_n for n <= n_max, not a grid)
 
 
-def _run_elizalde_noy(spec: CheckSpec, rec: Recorder) -> None:
+def _run_elizalde_noy(spec: CheckSpec, rec: Report) -> None:
     points = _run_samples(spec, rec, [("U", "rhs_elizalde_noy", _roots)])
     seen = {point["y"] for point in points}
     rec.equal(len(seen), len(points), "samples give distinct y values")
@@ -417,7 +413,7 @@ def _run_elizalde_noy(spec: CheckSpec, rec: Recorder) -> None:
              f"orders 0..{spec.order}")
 
 
-def _run_involutions(spec: CheckSpec, rec: Recorder) -> None:
+def _run_involutions(spec: CheckSpec, rec: Report) -> None:
     rhs = series.rhs_involutions(spec.n_max)
     ns = range(spec.n_max + 1)
     _check_series_against(rec, rhs, [F(involution_count(n, spec.cap)) for n in ns],
@@ -443,7 +439,7 @@ def _gen_num_trials(seed_name: str) -> list[tuple[dict[str, Fraction], Fraction]
     return [(_random_box_point(rng), F(rng.randrange(10, 21), 100)) for _ in range(5)]
 
 
-def _run_gen_num(spec: CheckSpec, rec: Recorder, seed_name: str,
+def _run_gen_num(spec: CheckSpec, rec: Report, seed_name: str,
                  value_fn: Callable[..., float], label: str) -> None:
     g = rec.grammar("G")
     order = 25
@@ -466,7 +462,7 @@ def _run_gen_num(spec: CheckSpec, rec: Recorder, seed_name: str,
     rec.note(f"{label} closed form matches the exact N={order} truncation at 5 box samples")
 
 
-def _run_pcf_closed(spec: CheckSpec, rec: Recorder) -> None:
+def _run_pcf_closed(spec: CheckSpec, rec: Report) -> None:
     for z in (-2.0, -1.3, -0.5, 0.0, 0.7, 1.3, 2.0):
         rec.residual(specialfn.pcf_d(0, z).real - math.exp(-z * z / 4), spec.tol,
                      f"order 0 at z={z}")
@@ -479,7 +475,7 @@ def _run_pcf_closed(spec: CheckSpec, rec: Recorder) -> None:
     rec.note("integer-order cylinder functions match their elementary closed forms")
 
 
-def _run_pcf_rec(spec: CheckSpec, rec: Recorder) -> None:
+def _run_pcf_rec(spec: CheckSpec, rec: Report) -> None:
     a_grid = [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5]
     z_grid = [-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0]
     for a in a_grid:
@@ -511,7 +507,7 @@ class CheckDef:
     check_id: str
     mode: str
     description: str
-    runner: Callable[[CheckSpec, Recorder], None]
+    runner: Callable[[CheckSpec, Report], None]
     n_max: int | None = None
     order: int | None = None
     tol: float | None = None
@@ -662,27 +658,19 @@ def run_check(check_id: str, n_max: int | None = None, order: int | None = None,
         tol=definition.tol if (tol is None or definition.tol is None) else tol,
         cap=cap,
     )
-    recorder = Recorder()
+    report = Report(spec)
     start = time.perf_counter()
     try:
-        definition.runner(spec, recorder)
+        definition.runner(spec, report)
     except Exception as exc:  # one check's error must not end a run of many
-        recorder.passed = False
-        recorder.counterexample = f"{type(exc).__name__}: {exc}"
-    if recorder.checked == 0:
-        recorder.fail("no comparison was made")
-    elapsed = time.perf_counter() - start
-    return Report(
-        spec=spec,
-        passed=recorder.passed,
-        checked=recorder.checked,
-        details=recorder.details,
-        counterexample=recorder.counterexample,
-        max_residual=recorder.max_residual,
-        elapsed_s=elapsed,
-        provenance={"grammar_sha256": {name: builtin_hash(name) for name in sorted(recorder.grammars)},
-                    "cap": cap},
-    )
+        report.passed = False
+        report.counterexample = f"{type(exc).__name__}: {exc}"
+    if report.checked == 0:
+        report.fail("no comparison was made")
+    report.elapsed_s = time.perf_counter() - start
+    report.provenance = {"grammar_sha256": {name: builtin_hash(name)
+                                            for name in sorted(report.grammars)}, "cap": cap}
+    return report
 
 
 def run_many(ids: Sequence[str], n_max: int | None = None, order: int | None = None,

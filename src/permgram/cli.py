@@ -18,11 +18,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
 from . import checks, perms, sequences
-from .grammar import builtin_names, resolve_grammar
+from .grammar import builtin_names, gen_coeffs, resolve_grammar
 from .perms import DEFAULT_CAP, ENUMERATED_FAMILIES, SPECIALIZED_TARGETS
 
 USAGE_ERROR = 2
@@ -73,14 +74,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_writable(*paths: str | None) -> None:
+    """Raise the OSError that writing each given path would raise, before any
+    work is done or anything is printed; no file is created or truncated."""
+    for path in filter(None, paths):
+        existed = os.path.lexists(path)
+        with open(path, "a", encoding="utf-8"):
+            pass
+        if not existed:
+            os.remove(path)
+
+
 def _cmd_derive(args: argparse.Namespace) -> int:
     grammar = resolve_grammar(args.grammar)
     seed = grammar.poly(args.seed)
     if args.n < 0:
         print("error: --n must be nonnegative", file=sys.stderr)
         return USAGE_ERROR
-    from .grammar import DerivationCache
-    entries = DerivationCache(grammar, seed).upto(args.n)
+    entries = gen_coeffs(grammar, seed, args.n)
     if args.all:
         for n, poly in enumerate(entries):
             print(f"D^{n}: {poly}")
@@ -90,17 +101,18 @@ def _cmd_derive(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    if (args.csv or args.seq) and args.family not in perms.TRIANGLE_TARGETS:
+        print(f"error: family {args.family!r} has no integer triangle "
+              f"(univariate families: {', '.join(perms.TRIANGLE_TARGETS)})",
+              file=sys.stderr)
+        return USAGE_ERROR
+    _check_writable(args.csv, args.seq)
     if args.family in ENUMERATED_FAMILIES:
         poly = perms.enumerate_poly(args.n, args.family, cap=args.cap)
     else:
         poly = perms.specialized_poly(args.n, args.family, cap=args.cap)
     print(poly)
     if args.csv or args.seq:
-        if args.family not in perms.TRIANGLE_TARGETS:
-            print(f"error: family {args.family!r} has no integer triangle "
-                  f"(univariate families: {', '.join(perms.TRIANGLE_TARGETS)})",
-                  file=sys.stderr)
-            return USAGE_ERROR
         rows = perms.triangle(args.family, args.n, cap=args.cap)
         if args.csv:
             sequences.write_triangle_csv(rows, args.csv)
@@ -133,6 +145,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         print("error: --jobs must be at least 1", file=sys.stderr)
         return USAGE_ERROR
+    _check_writable(args.json)
     ids = list(checks.check_ids()) if args.check == "all" else [args.check]
     reports = checks.run_many(ids, n_max=args.n_max, order=args.order,
                               tol=args.tol, cap=args.cap, jobs=args.jobs)

@@ -100,29 +100,17 @@ class Grammar:
     __hash__ = None
 
 
-class DerivationCache:
-    """Memoized stream of D^n(seed); extend-only, confined to one owner."""
-
-    def __init__(self, grammar: Grammar, seed: LaurentPoly):
-        if seed.vars != grammar.vars:
-            seed = seed.with_vars(grammar.vars)
-        self.grammar = grammar
-        self.seed = seed
-        self._entries: list[LaurentPoly] = [seed]
-
-    def upto(self, n: int) -> list[LaurentPoly]:
-        """Entries D^0(seed) .. D^n(seed)."""
-        if n < 0:
-            raise ValueError("derivative order must be nonnegative")
-        while len(self._entries) <= n:
-            self._entries.append(self.grammar.derive(self._entries[-1]))
-        return self._entries[: n + 1]
-
-
 def gen_coeffs(grammar: Grammar, seed: LaurentPoly, order: int) -> list[LaurentPoly]:
-    """Coefficients of the exponential generating function of the seed:
-    entry n is D^n(seed), the coefficient of t^n/n!."""
-    return DerivationCache(grammar, seed).upto(order)
+    """The chain D^0(seed) .. D^order(seed): entry n is the coefficient of
+    t^n/n! in the exponential generating function of the seed."""
+    if order < 0:
+        raise ValueError("derivative order must be nonnegative")
+    if seed.vars != grammar.vars:
+        seed = seed.with_vars(grammar.vars)
+    chain = [seed]
+    for _ in range(order):
+        chain.append(grammar.derive(chain[-1]))
+    return chain
 
 
 def flow_series(grammar: Grammar, seed: LaurentPoly, point: Mapping[str, Scalar],

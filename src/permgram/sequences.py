@@ -2,20 +2,17 @@
 
 Triangles are written as ragged CSV, one row per n.  Reference sequences
 live in plain-text files ``<id>: v0 v1 v2 ...`` (``#`` comments allowed); a
-small cache ships with the package and ``PERMGRAM_SEQ_CACHE`` points at an
-alternative directory.  A reference is named either by the path of such a
-file or by the id of a cached one; nothing is read from the network.
+small cache of them ships with the package.  A reference is named either by
+the path of such a file or by the id of a cached one; nothing is read from
+the network.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
-
-CACHE_ENV = "PERMGRAM_SEQ_CACHE"
 
 
 class SequenceFormatError(ValueError):
@@ -80,16 +77,11 @@ def read_sequence_file(path: str | Path) -> tuple[str, list[int]]:
 
 
 def cached_sequence(seq_id: str) -> tuple[str, list[int]]:
-    """Look up an id in the override cache directory, then the packaged one."""
-    override = os.environ.get(CACHE_ENV)
-    if override:
-        candidate = Path(override) / f"{seq_id}.seq"
-        if candidate.exists():
-            return read_sequence_file(candidate)
+    """Look up an id in the cache that ships with the package."""
     packaged = resources.files("permgram").joinpath("data").joinpath("oeis").joinpath(f"{seq_id}.seq")
     if packaged.is_file():
         return parse_sequence_text(packaged.read_text(encoding="utf-8"))
-    raise FileNotFoundError(f"no cached sequence {seq_id!r} (set {CACHE_ENV} to add caches)")
+    raise FileNotFoundError(f"no cached sequence {seq_id!r}")
 
 
 def load_reference(ref: str) -> tuple[str, list[int]]:

@@ -1,4 +1,4 @@
-"""Floating-point evaluation of Gamma, 1F1 and the Weber parabolic
+"""Floating-point evaluation of reciprocal Gamma, 1F1 and the Weber parabolic
 cylinder function, plus the two main closed forms that cannot be checked
 exactly because their constants involve Gamma values.
 
@@ -47,19 +47,8 @@ class ConvergenceError(ArithmeticError):
     """Direct summation failed to converge within the term cutoff."""
 
 
-class GammaPoleError(ArithmeticError):
-    """Gamma evaluated at a nonpositive integer (use rgamma instead)."""
-
-
 class ImaginaryResidualError(ArithmeticError):
     """A value that should be real kept a large imaginary part."""
-
-
-def gamma(x: Real) -> float:
-    """Gamma on the real line; poles raise (use rgamma when 0 is wanted)."""
-    if x <= 0 and float(x).is_integer():
-        raise GammaPoleError(f"Gamma pole at {x}")
-    return math.gamma(x)
 
 
 def rgamma(x: Real) -> float:

@@ -8,7 +8,7 @@ import pytest
 
 from permgram import series, specialfn
 from permgram.algebra import parse_poly
-from permgram.checks import (EN_ROOTS, REGISTRY, X_GRID, Recorder, UnknownCheckError,
+from permgram.checks import (EN_ROOTS, REGISTRY, X_GRID, CheckSpec, Report, UnknownCheckError,
                              _gen_num_trials, check_ids, en_roots, run_check, run_many,
                              x_grid, y_grid)
 from permgram.grammar import builtin, builtin_hash, flow_series, gen_coeffs
@@ -57,8 +57,15 @@ def test_reports_are_deterministic():
     assert a == b
 
 
+def _blank_report() -> Report:
+    """A report as a runner receives it: passed, nothing checked."""
+    report = Report(CheckSpec("demo", "numeric", None, None, 1e-10, 9))
+    assert report.passed and report.checked == 0 and report.counterexample is None
+    return report
+
+
 def test_recorder_counterexample_names_first_monomial():
-    rec = Recorder()
+    rec = _blank_report()
     lhs = parse_poly("x + 3*y", ("x", "y"))
     rhs = parse_poly("x + 4*y", ("x", "y"))
     rec.poly_equal(lhs, rhs, "demo at n=2")
@@ -70,7 +77,7 @@ def test_recorder_counterexample_names_first_monomial():
 
 
 def test_recorder_residuals():
-    rec = Recorder()
+    rec = _blank_report()
     rec.residual(1e-12, 1e-10, "fine")
     assert rec.passed and rec.max_residual == 1e-12
     rec.residual(-5e-9, 1e-10, "too big")
@@ -79,12 +86,12 @@ def test_recorder_residuals():
 
 
 def test_recorder_fails_a_nan():
-    rec = Recorder()
+    rec = _blank_report()
     rec.residual(float("nan"), 1e-10, "nan residual")
     assert not rec.passed and math.isnan(rec.max_residual)
     rec.residual(1e-12, 1e-10, "later")
     assert math.isnan(rec.max_residual)
-    rec = Recorder()
+    rec = _blank_report()
     rec.residual(1e-12, float("nan"), "nan tolerance")
     assert not rec.passed and rec.max_residual == 1e-12
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -95,11 +96,35 @@ def test_verify_unknown_id(capsys):
 @pytest.mark.parametrize("argv", [
     ["derive", "--grammar", "{dir}", "--seed", "x", "--n", "1"],
     ["enumerate", "--family", "L", "--n", "3", "--csv", "{dir}/missing/x.csv"],
+    ["enumerate", "--family", "L", "--n", "3", "--seq", "{dir}/missing/x.seq"],
+    ["enumerate", "--family", "L", "--n", "3", "--csv", "{dir}"],
     ["verify", "pcf-closed", "--json", "{dir}/missing/r.json"],
-], ids=["derive-grammar-is-a-directory", "enumerate-csv", "verify-json"])
+    ["verify", "all", "--json", "{dir}"],
+], ids=["derive-grammar-is-a-directory", "enumerate-csv", "enumerate-seq",
+        "enumerate-csv-is-a-directory", "verify-json", "verify-json-is-a-directory"])
 def test_a_bad_path_is_a_usage_error(argv, tmp_path, capsys):
     assert main([arg.format(dir=tmp_path) for arg in argv]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ")
+    assert out == ""  # refused before any check ran or anything was printed
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "no-such-check", "--json", "{dir}/r.json"],
+    ["enumerate", "--family", "P", "--n", "3", "--csv", "{dir}/x.csv"],
+    ["enumerate", "--family", "L", "--n", "10", "--csv", "{dir}/x.csv", "--seq", "{dir}/x.seq"],
+], ids=["unknown-check", "no-triangle", "over-the-cap"])
+def test_a_refused_run_leaves_no_file(argv, tmp_path, capsys):
+    assert main([arg.format(dir=tmp_path) for arg in argv]) == 2
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_refused_run_keeps_an_existing_file(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    path.write_text("earlier report\n")
+    assert main(["verify", "no-such-check", "--json", str(path)]) == 2
+    assert path.read_text() == "earlier report\n"
 
 
 def test_verify_list(capsys):
@@ -137,6 +162,25 @@ def test_verify_json_report_is_strict_json_with_a_nan_residual(tmp_path, capsys,
     document = json.loads(report_path.read_text(), parse_constant=reject)
     assert document["passed"] is False
     assert document["checks"][0]["max_residual"] == "nan"
+
+
+def _without(node, keys):
+    if isinstance(node, dict):
+        return {k: _without(v, keys) for k, v in node.items() if k not in keys}
+    if isinstance(node, list):
+        return [_without(v, keys) for v in node]
+    return node
+
+
+def test_verify_all_report_is_pinned(tmp_path, capsys):
+    # tests/data/verify-all.json is the report of `permgram verify all --json`
+    # with every elapsed_s and max_residual removed (the last digit of a
+    # residual may differ with the platform's libm); a verdict, count, note
+    # or provenance hash that moves shows up here
+    path = tmp_path / "verify-all.json"
+    assert main(["verify", "all", "--json", str(path)]) == 0
+    pinned = json.loads((Path(__file__).parent / "data" / "verify-all.json").read_text())
+    assert _without(json.loads(path.read_text()), {"elapsed_s", "max_residual"}) == pinned
 
 
 def test_verify_json_deterministic(tmp_path, capsys):

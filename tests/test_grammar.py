@@ -11,9 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permgram.algebra import AlgebraError, LaurentPoly, parse_poly
-from permgram.grammar import (DerivationCache, Grammar, GrammarError, builtin, builtin_hash,
-                              builtin_names, flow_series, gen_coeffs, gen_product,
-                              load_grammar, parse_grammar, resolve_grammar)
+from permgram.grammar import (Grammar, GrammarError, builtin, builtin_hash, builtin_names,
+                              flow_series, gen_coeffs, gen_product, load_grammar,
+                              parse_grammar, resolve_grammar)
 
 G = builtin("G")
 
@@ -47,14 +47,14 @@ def test_derive_n_matches_published_display():
     assert gen_coeffs(G, G.poly("z"), 4)[4] == G.poly(D4Z)
 
 
-def test_derivation_cache_extends():
-    cache = DerivationCache(G, G.poly("z"))
-    first = cache.upto(2)
+def test_gen_coeffs_chain():
+    first = gen_coeffs(G, G.poly("z"), 2)
     assert len(first) == 3
-    assert cache.upto(4)[4] == G.poly(D4Z)
+    chain = gen_coeffs(G, G.poly("z"), 4)
+    assert chain[:3] == first and chain[4] == G.poly(D4Z)
     assert first[0] == G.poly("z")
     with pytest.raises(ValueError):
-        cache.upto(-1)
+        gen_coeffs(G, G.poly("z"), -1)
 
 
 def test_linearity():
@@ -68,14 +68,12 @@ def test_leibniz_rule_powers():
     monomials = [G.poly("x"), G.poly("z^-1*w"), G.poly("x^1/2*v"), G.poly("y*u^2")]
     for p in monomials:
         for q in monomials:
-            dp = DerivationCache(G, p)
-            dq = DerivationCache(G, q)
-            dpq = DerivationCache(G, p * q)
+            dp, dq, dpq = (gen_coeffs(G, s, 6) for s in (p, q, p * q))
             for n in range(6 + 1):
                 expected = LaurentPoly.zero(G.vars)
                 for k in range(n + 1):
-                    expected = expected + math.comb(n, k) * (dp.upto(n)[k] * dq.upto(n)[n - k])
-                assert dpq.upto(n)[n] == expected, (str(p), str(q), n)
+                    expected = expected + math.comb(n, k) * (dp[k] * dq[n - k])
+                assert dpq[n] == expected, (str(p), str(q), n)
 
 
 def test_second_difference_of_w_minus_y():

@@ -64,14 +64,6 @@ def test_cached_sequence_missing():
         cached_sequence("A999999")
 
 
-def test_cache_env_override(tmp_path, monkeypatch):
-    override = tmp_path / "cache"
-    override.mkdir()
-    write_sequence_file("A000085", [9, 9, 9], override / "A000085.seq")
-    monkeypatch.setenv("PERMGRAM_SEQ_CACHE", str(override))
-    assert cached_sequence("A000085")[1] == [9, 9, 9]
-
-
 def test_compare_file_detects_mismatch(tmp_path):
     local = tmp_path / "tri.csv"
     write_triangle_csv(perms.triangle("Gessel-T", 5), local)
