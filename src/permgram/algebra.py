@@ -8,7 +8,9 @@ A coefficient is stored as a plain ``int`` whenever it is integral and as a
 factors like -1/2); both go through the same loops by Python's numeric
 tower.  Products and ``evaluate`` work over one common denominator (for a
 product, the lcm of each factor's coefficient denominators): the sums run
-in ints, and each result is divided once.
+in ints, and each result is divided once, in ``_over``.  Products of
+coefficient streams, where each polynomial meets many others, pack each
+exponent vector into one int, so adding two keys is one int addition.
 
 Everything here is an immutable value; operations are pure functions and
 safe to share across threads.  Two polynomials built in different term
@@ -21,13 +23,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, getitem
-from typing import Mapping, Sequence, Union
+from itertools import chain
+from operator import add, attrgetter, getitem, lshift
+from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
 _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 _NAME_CHARS = _NAME_START | set("0123456789_")
+_denominator = attrgetter("denominator")
 
 
 class AlgebraError(ValueError):
@@ -99,13 +103,35 @@ def _scalar(value: Scalar) -> Scalar:
     raise AlgebraError(f"expected an exact rational, got {value!r}")
 
 
-def _scaled(terms: Mapping[tuple[int, ...], Scalar]) -> tuple[int, Mapping[tuple[int, ...], int]]:
-    """``(d, integer terms)``: d is the lcm of the coefficient denominators and
-    the integer terms are the coefficients times d.  An all-int map is
-    returned as ``(1, terms)``, uncopied."""
-    d = math.lcm(*(c.denominator for c in terms.values()))
-    return (1, terms) if d == 1 else (d, {k: c.numerator * (d // c.denominator)
-                                           for k, c in terms.items()})
+def _scaled(terms: Mapping[tuple[int, ...], Scalar] | Sequence[Scalar]
+            ) -> tuple[int, Mapping[tuple[int, ...], int] | list[int]]:
+    """``(d, integer coefficients)``: d is the lcm of the coefficient
+    denominators and the integers are the coefficients times d.  A term map
+    keeps its keys, and an all-int one is returned as ``(1, terms)``,
+    uncopied; a sequence (of Fractions, say) becomes a list of ints."""
+    if isinstance(terms, dict):
+        d = math.lcm(*map(_denominator, terms.values()))
+        return (1, terms) if d == 1 else (d, {k: c.numerator * (d // c.denominator)
+                                               for k, c in terms.items()})
+    d = math.lcm(*map(_denominator, terms))
+    return d, [c.numerator * (d // c.denominator) for c in terms]
+
+
+def _width(a: Iterable[tuple[int, ...]], b: Iterable[tuple[int, ...]]) -> int:
+    """Bits per exponent for packing the keys of products of a term keyed in
+    a with one keyed in b: every exponent of such a product fits in
+    [-2^(w-1), 2^(w-1))."""
+    bound = sum(max(map(abs, chain.from_iterable(keys)), default=0) for keys in (a, b))
+    return bound.bit_length() + 1
+
+
+def _packed(terms: Mapping[tuple[int, ...], int],
+            width: int) -> list[tuple[int, tuple[int, ...], int]]:
+    """Each term as (packed key, key, coefficient), the packed key being the
+    exponent vector as one int, sum_i t_i 2^(width i).  Packing is additive:
+    a product term's packed key is the sum of its factors' packed keys."""
+    shifts = range(0, width * len(next(iter(terms), ())), width)
+    return [(sum(map(lshift, key, shifts)), key, c) for key, c in terms.items()]
 
 
 def _mul_into(out: dict[tuple[int, ...], int], a: Mapping[tuple[int, ...], int],
@@ -121,10 +147,42 @@ def _mul_into(out: dict[tuple[int, ...], int], a: Mapping[tuple[int, ...], int],
     return out
 
 
-def _over(vars: tuple[str, ...], nums: Mapping[tuple[int, ...], int], den: int) -> "LaurentPoly":
-    """The polynomial with coefficients ``num / den``, each reduced once."""
-    return LaurentPoly(vars, nums if den == 1 else
-                       {k: Fraction(num, den) for k, num in nums.items() if num})
+def _mul_packed_into(out: dict[int, int], keys: dict[int, tuple[int, ...]],
+                     a: list[tuple[int, tuple[int, ...], int]],
+                     b: list[tuple[int, tuple[int, ...], int]], weight: int) -> dict[int, int]:
+    """``_mul_into`` over packed terms: add ``weight`` times the product of a
+    and b to ``out``, keyed by packed exponent vector, and give ``keys`` the
+    exponent vector of each packed key not yet in it.  Return ``out``."""
+    get = out.get
+    for pa, ka, ca in a:
+        wa = weight * ca
+        for pb, kb, cb in b:
+            key = pa + pb
+            out[key] = get(key, 0) + wa * cb
+            if key not in keys:
+                keys[key] = tuple(map(add, ka, kb))
+    return out
+
+
+def _over(vars: tuple[str, ...], nums: Mapping, den: int,
+          keys: Mapping[int, tuple[int, ...]] | None = None) -> "LaurentPoly":
+    """The polynomial with coefficients ``num / den`` (den > 0), the one exit
+    of the kernel's common-denominator loops.  Each coefficient is divided
+    once, to an ``int`` when den divides it and to a reduced ``Fraction``
+    otherwise; zeros are dropped.  With ``keys``, the keys of ``nums`` are
+    packed and ``keys`` maps them to exponent vectors.  The map is stored as
+    built, without the public constructor's second normalization pass."""
+    poly = LaurentPoly.__new__(LaurentPoly)
+    poly.vars = vars
+    if den == 1 and keys is None:
+        poly.terms = {k: num for k, num in nums.items() if num}
+        return poly
+    terms = poly.terms = {}
+    for k, num in nums.items():
+        if num:
+            q, r = divmod(num, den)
+            terms[k if keys is None else keys[k]] = Fraction(num, den) if r else q
+    return poly
 
 
 class LaurentPoly:

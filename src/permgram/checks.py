@@ -291,7 +291,15 @@ def _derivative(check_id: str, description: str, grammar: str, seed: str, first:
 # -- exact-symbolic runners ----------------------------------------------------
 
 
+def _require_walk(spec: CheckSpec) -> None:
+    """Refuse a brute-force walk to n_max > cap before it walks S_0..S_cap,
+    with the error the walk would raise on reaching n = cap + 1."""
+    if spec.n_max > spec.cap:
+        perms._require_cap(spec.cap + 1, spec.cap)
+
+
 def _run_insertion(spec: CheckSpec, rec: Report) -> None:
+    _require_walk(spec)
     g = rec.grammar("G")
     for n in range(spec.n_max + 1):
         for perm in permutations(n, spec.cap):
@@ -365,6 +373,7 @@ def _run_quotient(spec: CheckSpec, rec: Report) -> None:
 
 
 def _run_stats_id(spec: CheckSpec, rec: Report) -> None:
+    _require_walk(spec)
     pat231, pat321 = (2, 3, 1), (3, 2, 1)
     for n in range(spec.n_max + 1):
         for perm in permutations(n, spec.cap):
@@ -414,6 +423,7 @@ def _run_elizalde_noy(spec: CheckSpec, rec: Report) -> None:
 
 
 def _run_involutions(spec: CheckSpec, rec: Report) -> None:
+    _require_walk(spec)
     rhs = series.rhs_involutions(spec.n_max)
     ns = range(spec.n_max + 1)
     _check_series_against(rec, rhs, [F(involution_count(n, spec.cap)) for n in ns],

@@ -13,6 +13,11 @@ computes its Taylor coefficients exactly from power-series recurrences,
 without building any D^n(seed); the numeric checks take their exact
 truncations from it.
 
+The inner loops run in ints over one common denominator and divide once per
+result: ``derive`` scales its input and the rules once, ``gen_product``
+scales each stream once, and ``flow_series`` holds every Taylor stream as
+int numerators over one denominator.
+
 The built-in grammars are shipped as data files and parsed on first use,
 so the file parser is exercised on every run:
 
@@ -32,12 +37,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from importlib import resources
-from operator import add
+from operator import add, mul
 from pathlib import Path
 from typing import Mapping
 
-from .algebra import (AlgebraError, LaurentPoly, Scalar, _as_fraction, _mul_into, _over, _scaled,
-                      parse_poly)
+from .algebra import (AlgebraError, LaurentPoly, Scalar, _as_fraction, _mul_packed_into, _over,
+                      _packed, _scaled, _width, parse_poly)
 
 
 class GrammarError(ValueError):
@@ -66,31 +71,44 @@ class Grammar:
         return parse_poly(text, self.vars)
 
     @cached_property
-    def _deltas(self) -> tuple[tuple[tuple[tuple[int, ...], Scalar], ...], ...]:
-        """Per variable i: each term of rule(i) as (exponent delta, coefficient),
-        the delta being the rule's key with the -2 of d/dv_i folded in at i."""
-        return tuple(
-            tuple((tuple(r - 2 if j == i else r for j, r in enumerate(rkey)), rcoeff)
+    def _deltas(self) -> tuple[int, tuple[tuple[tuple[tuple[int, ...], int], ...], ...]]:
+        """``(r, per variable i: each term of rule(i) as (exponent delta,
+        integer coefficient))``: the coefficients are scaled to ints over r,
+        the lcm of every rule's denominators, and the delta is the rule's key
+        with the -2 of d/dv_i folded in at i."""
+        r, _ = _scaled([c for rule in self.rules for c in rule.terms.values()])
+        return r, tuple(
+            tuple((tuple(e - 2 if j == i else e for j, e in enumerate(rkey)),
+                   rcoeff.numerator * (r // rcoeff.denominator))
                   for rkey, rcoeff in rule.terms.items())
             for i, rule in enumerate(self.rules))
 
     def derive(self, p: LaurentPoly) -> LaurentPoly:
-        """One application of the formal derivative."""
+        """One application of the formal derivative.
+
+        The sum runs in ints.  The input is scaled once to integers over the
+        lcm d of its denominators, and the term of v_i^(t/2) contributes
+        coeff * t * rcoeff with t the doubled exponent; each output term is
+        divided once by 2 d r.  A chain with int coefficients and even
+        exponents only contributes coeff * (t/2) * rcoeff and needs no
+        division."""
         if p.vars != self.vars:
             raise AlgebraError(
                 f"polynomial over {p.vars} fed to grammar over {self.vars}")
-        deltas = self._deltas
-        out: dict[tuple[int, ...], Scalar] = {}
+        r, deltas = self._deltas
+        d, terms = _scaled(p.terms)
+        shift = 0 if d > 1 or r > 1 or any(t & 1 for key in terms for t in key) else 1
+        out: dict[tuple[int, ...], int] = {}
         get = out.get
-        for key, coeff in p.terms.items():
+        for key, coeff in terms.items():
             for i, t in enumerate(key):
                 if t == 0:
                     continue
-                factor = coeff * (t // 2) if t % 2 == 0 else coeff * Fraction(t, 2)
+                factor = coeff * (t >> shift)
                 for delta, rcoeff in deltas[i]:
                     nkey = tuple(map(add, key, delta))
                     out[nkey] = get(nkey, 0) + factor * rcoeff
-        return LaurentPoly(self.vars, out)
+        return _over(self.vars, out, 1 if shift else 2 * d * r)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Grammar):
@@ -143,8 +161,9 @@ def flow_series(grammar: Grammar, seed: LaurentPoly, point: Mapping[str, Scalar]
     keys = set(seed.terms).union(*(grammar.rules[i].terms for i in live))
     halves = {i for key in keys for i, t in enumerate(key) if t % 2}
 
-    xs: dict[int, list[Fraction]] = {}       # Taylor coefficients of X_i
-    x_rates: dict[int, list[Fraction]] = {}  # k [t^k] log X_i, from k = 1
+    starts: dict[int, Fraction] = {}   # X_i(0)
+    xs: dict[int, _Stream] = {}       # Taylor coefficients of X_i
+    x_rates: dict[int, _Stream] = {}  # k [t^k] log X_i, from k = 1
     for i in live:
         name = grammar.vars[i]
         if name not in point:
@@ -152,31 +171,68 @@ def flow_series(grammar: Grammar, seed: LaurentPoly, point: Mapping[str, Scalar]
         value = _as_fraction(point[name])
         if value == 0:
             raise AlgebraError(f"the flow needs {name} != 0 at its start")
-        xs[i], x_rates[i] = [value], [Fraction(0)]
-    ms: dict[tuple[int, ...], list[Fraction]] = {}       # Taylor coefficients of M
-    m_rates: dict[tuple[int, ...], list[Fraction]] = {}  # k [t^k] log M, from k = 1
+        starts[i], xs[i], x_rates[i] = value, _Stream(value), _Stream(Fraction(0))
+    ms: dict[tuple[int, ...], _Stream] = {}       # Taylor coefficients of M
+    m_rates: dict[tuple[int, ...], _Stream] = {}  # k [t^k] log M, from k = 1
     for key in keys:
         start = Fraction(1)
         for i, t in enumerate(key):
             if t:
-                start *= _exact_root(xs[i][0], grammar.vars[i]) ** t if i in halves \
-                    else xs[i][0] ** (t // 2)
-        ms[key], m_rates[key] = [start], [Fraction(0)]
+                start *= _exact_root(starts[i], grammar.vars[i]) ** t if i in halves \
+                    else starts[i] ** (t // 2)
+        ms[key], m_rates[key] = _Stream(start), _Stream(Fraction(0))
 
-    def at(poly: LaurentPoly, n: int) -> Fraction:
-        return sum((coeff * ms[key][n] for key, coeff in poly.terms.items()), Fraction(0))
+    def over_ms(poly: LaurentPoly) -> tuple[int, list[tuple[int, _Stream]]]:
+        """``(d, [(coeff * d, stream of M)])`` for the terms coeff * M of poly."""
+        den, terms = _scaled(poly.terms)
+        return den, [(coeff, ms[key]) for key, coeff in terms.items()]
 
+    rules = {i: over_ms(grammar.rules[i]) for i in live}
+    logs = {key: [(t, x_rates[i]) for i, t in enumerate(key) if t] for key in keys}
     for n in range(1, order + 1):
         for i in live:
             x, rate = xs[i], x_rates[i]
-            x.append(at(grammar.rules[i], n - 1) / n)
-            rate.append((n * x[n] - sum((rate[k] * x[n - k] for k in range(1, n)), Fraction(0)))
-                        / x[0])
+            den, terms = rules[i]
+            num, common = _combine(terms, n - 1)
+            x.push(num, den * common * n)
+            # n X[n] = sum_{k=1..n} rate[k] X[n-k]; solve for rate[n] over rate.den * x.den
+            known = sum(map(mul, rate.nums[1:n], x.nums[n - 1:0:-1]))
+            rate.push(n * x.nums[n] * rate.den - known, rate.den * x.nums[0])
         for key, m in ms.items():
             rate = m_rates[key]
-            rate.append(sum((t * x_rates[i][n] for i, t in enumerate(key) if t), Fraction(0)) / 2)
-            m.append(sum(rate[k] * m[n - k] for k in range(1, n + 1)) / n)
-    return [at(seed, n) for n in range(order + 1)]
+            num, common = _combine(logs[key], n)
+            rate.push(num, 2 * common)
+            m.push(sum(map(mul, rate.nums[1:n + 1], m.nums[n - 1::-1])), rate.den * m.den * n)
+    den, terms = over_ms(seed)
+    return [Fraction(num, den * common) for num, common in
+            (_combine(terms, n) for n in range(order + 1))]
+
+
+def _combine(terms: list[tuple[int, "_Stream"]], n: int) -> tuple[int, int]:
+    """sum_j c_j s_j[n] for int weights c_j and streams s_j, as (numerator,
+    denominator) over the lcm of the streams' denominators."""
+    common = math.lcm(*(stream.den for _, stream in terms))
+    return sum(c * stream.nums[n] * (common // stream.den) for c, stream in terms), common
+
+
+class _Stream:
+    """A Taylor coefficient stream as int numerators over one common
+    denominator, so the flow's convolutions are sums of int products."""
+
+    __slots__ = ("den", "nums")
+
+    def __init__(self, value: Fraction):
+        self.den, self.nums = value.denominator, [value.numerator]
+
+    def push(self, num: int, den: int) -> None:
+        """Append num / den, reduced once; the common denominator grows to
+        the lcm when den does not divide it."""
+        value = Fraction(num, den)
+        if self.den % value.denominator:
+            grow = value.denominator // math.gcd(self.den, value.denominator)
+            self.nums = [c * grow for c in self.nums]
+            self.den *= grow
+        self.nums.append(value.numerator * (self.den // value.denominator))
 
 
 def _exact_root(value: Fraction, name: str) -> Fraction:
@@ -193,7 +249,9 @@ def gen_product(a: list[LaurentPoly], b: list[LaurentPoly]) -> list[LaurentPoly]
     functions: c_n = sum_k C(n,k) a_k b_{n-k}, truncated to the shorter input.
 
     Each stream is scaled once, to integer terms over one common denominator,
-    so each c_n is summed in ints and divided once per term."""
+    so each c_n is summed in ints and divided once per term.  Each exponent
+    vector is packed once into one int, so the O(order^2) term products add
+    keys as ints."""
     order = min(len(a), len(b)) - 1
     if order < 0:
         return []
@@ -202,13 +260,16 @@ def gen_product(a: list[LaurentPoly], b: list[LaurentPoly]) -> list[LaurentPoly]
         raise AlgebraError(f"mismatched variable sets in a product of streams over {vars}")
     scaled = [[_scaled(p.terms) for p in s[:order + 1]] for s in (a, b)]
     da, db = (math.lcm(*(d for d, _ in s)) for s in scaled)
+    width = _width(*((key for _, terms in s for key in terms) for s in scaled))
+    packed = [[(d, _packed(terms, width)) for d, terms in s] for s in scaled]
+    keys: dict[int, tuple[int, ...]] = {}
     out = []
     for n in range(order + 1):
-        nums: dict[tuple[int, ...], int] = {}
+        nums: dict[int, int] = {}
         for k in range(n + 1):
-            (dk, ak), (dj, bj) = scaled[0][k], scaled[1][n - k]
-            _mul_into(nums, ak, bj, math.comb(n, k) * (da // dk) * (db // dj))
-        out.append(_over(vars, nums, da * db))
+            (dk, ak), (dj, bj) = packed[0][k], packed[1][n - k]
+            _mul_packed_into(nums, keys, ak, bj, math.comb(n, k) * (da // dk) * (db // dj))
+        out.append(_over(vars, nums, da * db, keys))
     return out
 
 

@@ -7,6 +7,11 @@ right-hand sides of the generating-function identities at exact rational
 parameter samples, so every comparison against an enumeration oracle is a
 comparison of Fractions.
 
+Products and quotients of two series run in ints over one common
+denominator, the lcm of both operands' denominators: a product is a Cauchy
+sum of ints, and a quotient follows the fraction-free recurrence of Bareiss
+(Math. Comp. 22, 1968).  Each result coefficient is divided once.
+
 Square roots never appear: surd-bearing closed forms are sampled through a
 root parametrization chosen so the surd is rational (see the individual
 builders), and cosh/sinh/cos/sin pairs are built as the even/odd series
@@ -17,9 +22,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Union
 
-from .algebra import Scalar, _as_fraction
+from .algebra import Scalar, _as_fraction, _scaled
 
 
 class SamplingError(ValueError):
@@ -85,11 +91,11 @@ class Series:
             c = _as_fraction(other)
             return Series([coeff * c for coeff in self.coeffs])
         shared = min(self.order, other.order)
-        out = []
-        for n in range(shared + 1):
-            out.append(sum((self.coeffs[k] * other.coeffs[n - k] for k in range(n + 1)),
-                           Fraction(0)))
-        return Series(out)
+        d, nums = _scaled(self.coeffs[: shared + 1] + other.coeffs[: shared + 1])
+        a, b = nums[: shared + 1], nums[shared + 1:]
+        dd = d * d
+        return Series([Fraction(sum(map(mul, a[: n + 1], reversed(b[: n + 1]))), dd)
+                       for n in range(shared + 1)])
 
     __rmul__ = __mul__
 
@@ -99,14 +105,18 @@ class Series:
             return Series([coeff / c for coeff in self.coeffs])
         if other.coeffs[0] == 0:
             raise ZeroDivisionError("series divisor has zero constant term")
+        # Fraction-free (Bareiss 1968): over one denominator the quotient is
+        # a/b, and Q[n] = q[n] b0^(n+1) = a[n] b0^n - sum_k Q[k] b[n-k] b0^(n-1-k)
+        # stays integral, so each q[n] is divided once
         shared = min(self.order, other.order)
-        out: list[Fraction] = []
+        _, nums = _scaled(self.coeffs[: shared + 1] + other.coeffs[: shared + 1])
+        a, b = nums[: shared + 1], nums[shared + 1:]
+        powers = [b[0] ** k for k in range(shared + 2)]
+        scaled: list[int] = []  # Q[n]
         for n in range(shared + 1):
-            acc = self.coeffs[n]
-            for k in range(n):
-                acc -= out[k] * other.coeffs[n - k]
-            out.append(acc / other.coeffs[0])
-        return Series(out)
+            scaled.append(a[n] * powers[n]
+                          - sum(scaled[k] * b[n - k] * powers[n - 1 - k] for k in range(n)))
+        return Series([Fraction(num, powers[n + 1]) for n, num in enumerate(scaled)])
 
     def __rtruediv__(self, other: Scalar) -> "Series":
         return Series.const(other, self.order) / self

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from permgram import series, specialfn
+from permgram import checks, perms, series, specialfn
 from permgram.algebra import parse_poly
 from permgram.checks import (EN_ROOTS, REGISTRY, X_GRID, CheckSpec, Report, UnknownCheckError,
                              _gen_num_trials, check_ids, en_roots, run_check, run_many,
@@ -154,6 +154,25 @@ def test_brute_force_checks_respect_the_cap(check_id):
     assert not report.passed
     assert report.counterexample.startswith(
         "EnumerationCapError: n=6 exceeds the enumeration cap 5")
+
+
+@pytest.mark.parametrize("check_id", ["insertion", "stats-id", "involutions"])
+def test_brute_force_checks_refuse_before_walking(check_id, monkeypatch):
+    # n_max above the cap is known from the arguments: no S_n is walked first
+    walked = []
+
+    def recording(n, cap=perms.DEFAULT_CAP):
+        walked.append(n)
+        return real(n, cap)
+
+    real = perms.permutations
+    monkeypatch.setattr(perms, "permutations", recording)
+    monkeypatch.setattr(checks, "permutations", recording)
+    report = run_check(check_id, n_max=12)
+    assert not report.passed and report.checked == 0
+    assert report.counterexample.startswith(
+        "EnumerationCapError: n=10 exceeds the enumeration cap 9")
+    assert walked == []
 
 
 # What every report compared and noted at n_max=3, order=3, as the checks

@@ -240,19 +240,19 @@ FLOW_VARS = ("a", "b", "c")
 
 
 @st.composite
-def flow_polys(draw, max_terms):
+def flow_polys(draw, max_terms, coeffs=st.integers(min_value=-3, max_value=3)):
     terms = {}
     for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
         key = tuple(draw(st.integers(min_value=-1, max_value=2)) * 2 for _ in FLOW_VARS)
-        terms[key] = terms.get(key, F(0)) + draw(st.integers(min_value=-3, max_value=3))
+        terms[key] = terms.get(key, F(0)) + draw(coeffs)
     return LaurentPoly(FLOW_VARS, terms)
 
 
 @st.composite
-def flow_cases(draw, values):
-    grammar = Grammar(FLOW_VARS, tuple(draw(flow_polys(2)) for _ in FLOW_VARS))
+def flow_cases(draw, values, coeffs=st.integers(min_value=-3, max_value=3)):
+    grammar = Grammar(FLOW_VARS, tuple(draw(flow_polys(2, coeffs)) for _ in FLOW_VARS))
     point = {name: draw(values) for name in FLOW_VARS}
-    return grammar, draw(flow_polys(3)), point
+    return grammar, draw(flow_polys(3, coeffs)), point
 
 
 NONZERO = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
@@ -265,6 +265,38 @@ def test_flow_matches_the_symbolic_chain_on_random_grammars(case):
     flow = flow_series(grammar, seed, point, 6)
     for n, poly in enumerate(gen_coeffs(grammar, seed, 6)):
         assert math.factorial(n) * flow[n] == poly.evaluate(point), n
+
+
+# coordinates and coefficients with unlike denominators, so the flow's streams
+# rescale to a new common denominator as they grow
+SPREAD = st.fractions(min_value=-3, max_value=3, max_denominator=17).filter(bool)
+SPREAD_COEFFS = st.one_of(st.integers(min_value=-3, max_value=3),
+                          st.fractions(min_value=-2, max_value=2, max_denominator=9))
+
+
+@settings(max_examples=60, deadline=None)
+@given(flow_cases(SPREAD, SPREAD_COEFFS))
+@example((parse_grammar("vars: a b c\nrule a -> 2/3*a*b\nrule b -> b^2 - 1/5*c\nrule c -> a*c^-1"),
+          parse_poly("3/4*a*b^-1 + c", FLOW_VARS), {"a": F(3, 7), "b": F(5, 16), "c": F(-2, 9)}))
+def test_flow_matches_derive_and_evaluate_over_unlike_denominators(case):
+    grammar, seed, point = case
+    flow = flow_series(grammar, seed, point, 6)
+    assert all(type(value) is F for value in flow)
+    for n, poly in enumerate(gen_coeffs(grammar, seed, 6)):
+        assert math.factorial(n) * flow[n] == poly.evaluate(point), n
+
+
+def test_flow_under_G_over_unlike_denominators():
+    point = {"x": F(3, 7), "y": F(5, 16), "z": F(9, 25), "w": F(-4, 3), "u": F(7, 10),
+             "v": F(2, 11)}
+    for seed in ("z", "w", "x^-1*z"):
+        _assert_flow_matches_chain(G, seed, point, 12)
+    # the half seed s at x = 9/49, z = 9/25: s^2 = x^-1 z^-1 along the flow
+    point["x"] = F(9, 49)
+    _assert_flow_matches_chain(G, "x^-1*z^-1", point, 12)
+    gs = flow_series(G, G.poly("x^-1/2*z^-1/2"), point, 12)
+    assert gs[0] == F(35, 9)
+    assert _cauchy(gs, gs) == flow_series(G, G.poly("x^-1*z^-1"), point, 12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -371,6 +403,10 @@ def flow_poly(text: str) -> LaurentPoly:
          [flow_poly("1/2*a^1/2 - 3"), flow_poly("1/3*b"), flow_poly("c")])
 @example([flow_poly("1/2*a"), flow_poly("1/3*b")],  # c_1 = a/2 (-b/3) + (b/3)(a/2) = 0
          [flow_poly("1/2*a"), flow_poly("-1/3*b"), flow_poly("7/5")])
+@example([flow_poly("a^40*b^-37/2 - c^-63"), flow_poly("a^-1 + 2")],  # exponents far past
+         [flow_poly("1/7*a^-41*c^63 + b^37/2"), flow_poly("c^64 - 3/2*b^-1/2")])  # the draws
+@example([flow_poly("a^1/2")],  # packed too narrow for b, a^2 and b^1/2 would share a key
+         [flow_poly("a^3/2 + 2*a^-1/2*b^1/2")])
 def test_gen_product_matches_the_fraction_definition(a, b):
     got = gen_product(a, b)
     assert [p.terms for p in got] == reference_gen_product([p.terms for p in a],

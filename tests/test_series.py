@@ -6,6 +6,8 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from permgram.algebra import AlgebraError
 from permgram.perms import specialized_poly
@@ -127,6 +129,55 @@ def test_mul_div_roundtrip():
     for a in samples:
         for b in samples:
             assert (a * b) / b == a
+
+
+# -- the common-denominator loops against Fraction-only definitions ------------
+
+
+def reference_mul(a: list, b: list) -> list:
+    """c_n = sum_k a_k b_(n-k), one Fraction operation per term."""
+    shared = min(len(a), len(b))
+    return [sum((F(a[k]) * F(b[n - k]) for k in range(n + 1)), F(0)) for n in range(shared)]
+
+
+def reference_div(a: list, b: list) -> list:
+    """q_n = (a_n - sum_(k<n) q_k b_(n-k)) / b_0, one Fraction operation per term."""
+    if b[0] == 0:
+        raise ZeroDivisionError("zero constant term")
+    out: list = []
+    for n in range(min(len(a), len(b))):
+        acc = F(a[n])
+        for k in range(n):
+            acc -= out[k] * F(b[n - k])
+        out.append(acc / F(b[0]))
+    return out
+
+
+COEFFS = st.one_of(st.integers(min_value=-9, max_value=9),
+                   st.fractions(min_value=-7, max_value=7, max_denominator=12))
+COEFF_LISTS = st.lists(COEFFS, min_size=1, max_size=9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(COEFF_LISTS, COEFF_LISTS)
+@example([F(3, 4), F(-1, 6), 2], [F(-5, 7), F(2, 9), 0, F(1, 10)])  # unequal orders
+@example([1, F(1, 2), F(1, 3)], [-3, 1, F(1, 5)])  # negative integral b0
+@example([0, 0, 1], [F(-2, 3), 0, 0, F(7, 8)])  # fractional b0, zero head in a
+@example([F(5, 4), 1], [0, 1, 2])  # zero constant term
+def test_mul_and_div_match_the_fraction_definitions(a, b):
+    sa, sb = Series(a), Series(b)
+    for got, want in ((sa * sb, reference_mul(a, b)), (sb * sa, reference_mul(a, b))):
+        assert list(got.coeffs) == want
+        assert all(type(c) is F for c in got.coeffs)
+    try:
+        want = reference_div(a, b)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            sa / sb
+        return
+    got = sa / sb
+    assert list(got.coeffs) == want
+    assert all(type(c) is F for c in got.coeffs)
 
 
 def test_kummer_series_level():
