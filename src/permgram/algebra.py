@@ -8,9 +8,8 @@ A coefficient is stored as a plain ``int`` whenever it is integral and as a
 factors like -1/2); both go through the same loops by Python's numeric
 tower.  Products and ``evaluate`` work over one common denominator (for a
 product, the lcm of each factor's coefficient denominators): the sums run
-in ints, and each result is divided once, in ``_over``.  Products of
-coefficient streams, where each polynomial meets many others, pack each
-exponent vector into one int, so adding two keys is one int addition.
+in ints, and each result is divided once, in ``_over``.  A product packs
+each exponent vector into one int, so adding two keys is one int addition.
 
 Everything here is an immutable value; operations are pure functions and
 safe to share across threads.  Two polynomials built in different term
@@ -25,13 +24,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import add, attrgetter, getitem, lshift
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Collection, Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
 _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 _NAME_CHARS = _NAME_START | set("0123456789_")
 _denominator = attrgetter("denominator")
+_numerator = attrgetter("numerator")
 
 
 class AlgebraError(ValueError):
@@ -103,18 +103,13 @@ def _scalar(value: Scalar) -> Scalar:
     raise AlgebraError(f"expected an exact rational, got {value!r}")
 
 
-def _scaled(terms: Mapping[tuple[int, ...], Scalar] | Sequence[Scalar]
-            ) -> tuple[int, Mapping[tuple[int, ...], int] | list[int]]:
-    """``(d, integer coefficients)``: d is the lcm of the coefficient
-    denominators and the integers are the coefficients times d.  A term map
-    keeps its keys, and an all-int one is returned as ``(1, terms)``,
-    uncopied; a sequence (of Fractions, say) becomes a list of ints."""
-    if isinstance(terms, dict):
-        d = math.lcm(*map(_denominator, terms.values()))
-        return (1, terms) if d == 1 else (d, {k: c.numerator * (d // c.denominator)
-                                               for k, c in terms.items()})
-    d = math.lcm(*map(_denominator, terms))
-    return d, [c.numerator * (d // c.denominator) for c in terms]
+def _scaled(coeffs: Collection[Scalar]) -> tuple[int, list[int]]:
+    """``(d, integers)``: d is the lcm of the coefficients' denominators and
+    the integers are the coefficients times d, in order.  ``coeffs`` is read
+    twice, so it is a collection (a list, or a term map's ``values()``)."""
+    d = math.lcm(*map(_denominator, coeffs))
+    return d, (list(map(_numerator, coeffs)) if d == 1
+               else [c.numerator * (d // c.denominator) for c in coeffs])
 
 
 def _width(a: Iterable[tuple[int, ...]], b: Iterable[tuple[int, ...]]) -> int:
@@ -125,34 +120,23 @@ def _width(a: Iterable[tuple[int, ...]], b: Iterable[tuple[int, ...]]) -> int:
     return bound.bit_length() + 1
 
 
-def _packed(terms: Mapping[tuple[int, ...], int],
-            width: int) -> list[tuple[int, tuple[int, ...], int]]:
-    """Each term as (packed key, key, coefficient), the packed key being the
+def _packed(terms: Mapping[tuple[int, ...], Scalar],
+            width: int) -> tuple[int, list[tuple[int, tuple[int, ...], int]]]:
+    """``(d, packed terms)``: the terms scaled to integers over d (``_scaled``),
+    each as (packed key, key, integer coefficient), the packed key being the
     exponent vector as one int, sum_i t_i 2^(width i).  Packing is additive:
     a product term's packed key is the sum of its factors' packed keys."""
+    d, nums = _scaled(terms.values())
     shifts = range(0, width * len(next(iter(terms), ())), width)
-    return [(sum(map(lshift, key, shifts)), key, c) for key, c in terms.items()]
+    return d, [(sum(map(lshift, key, shifts)), key, c) for key, c in zip(terms, nums)]
 
 
-def _mul_into(out: dict[tuple[int, ...], int], a: Mapping[tuple[int, ...], int],
-              b: Mapping[tuple[int, ...], int], weight: int) -> dict[tuple[int, ...], int]:
-    """Add ``weight`` times the product of integer term maps a, b to ``out``; return it."""
-    get = out.get
-    right = b.items()
-    for ka, ca in a.items():
-        wa = weight * ca
-        for kb, cb in right:
-            key = tuple(map(add, ka, kb))
-            out[key] = get(key, 0) + wa * cb
-    return out
-
-
-def _mul_packed_into(out: dict[int, int], keys: dict[int, tuple[int, ...]],
-                     a: list[tuple[int, tuple[int, ...], int]],
-                     b: list[tuple[int, tuple[int, ...], int]], weight: int) -> dict[int, int]:
-    """``_mul_into`` over packed terms: add ``weight`` times the product of a
-    and b to ``out``, keyed by packed exponent vector, and give ``keys`` the
-    exponent vector of each packed key not yet in it.  Return ``out``."""
+def _mul_into(out: dict[int, int], keys: dict[int, tuple[int, ...]],
+              a: list[tuple[int, tuple[int, ...], int]],
+              b: list[tuple[int, tuple[int, ...], int]], weight: int) -> dict[int, int]:
+    """Add ``weight`` times the product of packed terms a and b to ``out``,
+    keyed by packed exponent vector, and give ``keys`` the exponent vector of
+    each packed key not yet in it.  Return ``out``."""
     get = out.get
     for pa, ka, ca in a:
         wa = weight * ca
@@ -172,16 +156,12 @@ def _over(vars: tuple[str, ...], nums: Mapping, den: int,
     otherwise; zeros are dropped.  With ``keys``, the keys of ``nums`` are
     packed and ``keys`` maps them to exponent vectors.  The map is stored as
     built, without the public constructor's second normalization pass."""
+    items = nums.items() if keys is None else ((keys[k], num) for k, num in nums.items())
     poly = LaurentPoly.__new__(LaurentPoly)
     poly.vars = vars
-    if den == 1 and keys is None:
-        poly.terms = {k: num for k, num in nums.items() if num}
-        return poly
-    terms = poly.terms = {}
-    for k, num in nums.items():
-        if num:
-            q, r = divmod(num, den)
-            terms[k if keys is None else keys[k]] = Fraction(num, den) if r else q
+    poly.terms = ({k: num for k, num in items if num} if den == 1 else
+                  {k: num // den if num % den == 0 else Fraction(num, den)
+                   for k, num in items if num})
     return poly
 
 
@@ -278,9 +258,10 @@ class LaurentPoly:
             c = _scalar(other)
             return LaurentPoly(self.vars, {k: coeff * c for k, coeff in self.terms.items()})
         self._check_vars(other)
-        da, a = _scaled(self.terms)
-        db, b = _scaled(other.terms)
-        return _over(self.vars, _mul_into({}, a, b, 1), da * db)
+        width = _width(self.terms, other.terms)
+        (da, a), (db, b) = _packed(self.terms, width), _packed(other.terms, width)
+        keys: dict[int, tuple[int, ...]] = {}
+        return _over(self.vars, _mul_into({}, keys, a, b, 1), da * db, keys)
 
     __rmul__ = __mul__
 

@@ -299,8 +299,8 @@ def _require_walk(spec: CheckSpec) -> None:
 
 
 def _run_insertion(spec: CheckSpec, rec: Report) -> None:
-    _require_walk(spec)
     g = rec.grammar("G")
+    _require_walk(spec)
     for n in range(spec.n_max + 1):
         for perm in permutations(n, spec.cap):
             total = LaurentPoly.zero(WEIGHT_VARS)

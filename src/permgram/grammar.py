@@ -41,7 +41,7 @@ from operator import add, mul
 from pathlib import Path
 from typing import Mapping
 
-from .algebra import (AlgebraError, LaurentPoly, Scalar, _as_fraction, _mul_packed_into, _over,
+from .algebra import (AlgebraError, LaurentPoly, Scalar, _as_fraction, _mul_into, _over,
                       _packed, _scaled, _width, parse_poly)
 
 
@@ -76,11 +76,11 @@ class Grammar:
         integer coefficient))``: the coefficients are scaled to ints over r,
         the lcm of every rule's denominators, and the delta is the rule's key
         with the -2 of d/dv_i folded in at i."""
-        r, _ = _scaled([c for rule in self.rules for c in rule.terms.values()])
+        r, nums = _scaled([c for rule in self.rules for c in rule.terms.values()])
+        scaled = iter(nums)
         return r, tuple(
-            tuple((tuple(e - 2 if j == i else e for j, e in enumerate(rkey)),
-                   rcoeff.numerator * (r // rcoeff.denominator))
-                  for rkey, rcoeff in rule.terms.items())
+            tuple((tuple(e - 2 if j == i else e for j, e in enumerate(rkey)), next(scaled))
+                  for rkey in rule.terms)
             for i, rule in enumerate(self.rules))
 
     def derive(self, p: LaurentPoly) -> LaurentPoly:
@@ -89,26 +89,24 @@ class Grammar:
         The sum runs in ints.  The input is scaled once to integers over the
         lcm d of its denominators, and the term of v_i^(t/2) contributes
         coeff * t * rcoeff with t the doubled exponent; each output term is
-        divided once by 2 d r.  A chain with int coefficients and even
-        exponents only contributes coeff * (t/2) * rcoeff and needs no
-        division."""
+        divided once by 2 d r, to an int where that divides it (always, on a
+        chain with int coefficients and even exponents)."""
         if p.vars != self.vars:
             raise AlgebraError(
                 f"polynomial over {p.vars} fed to grammar over {self.vars}")
         r, deltas = self._deltas
-        d, terms = _scaled(p.terms)
-        shift = 0 if d > 1 or r > 1 or any(t & 1 for key in terms for t in key) else 1
+        d, nums = _scaled(p.terms.values())
         out: dict[tuple[int, ...], int] = {}
         get = out.get
-        for key, coeff in terms.items():
+        for key, coeff in zip(p.terms, nums):
             for i, t in enumerate(key):
                 if t == 0:
                     continue
-                factor = coeff * (t >> shift)
+                factor = coeff * t
                 for delta, rcoeff in deltas[i]:
                     nkey = tuple(map(add, key, delta))
                     out[nkey] = get(nkey, 0) + factor * rcoeff
-        return _over(self.vars, out, 1 if shift else 2 * d * r)
+        return _over(self.vars, out, 2 * d * r)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Grammar):
@@ -184,8 +182,8 @@ def flow_series(grammar: Grammar, seed: LaurentPoly, point: Mapping[str, Scalar]
 
     def over_ms(poly: LaurentPoly) -> tuple[int, list[tuple[int, _Stream]]]:
         """``(d, [(coeff * d, stream of M)])`` for the terms coeff * M of poly."""
-        den, terms = _scaled(poly.terms)
-        return den, [(coeff, ms[key]) for key, coeff in terms.items()]
+        den, nums = _scaled(poly.terms.values())
+        return den, [(coeff, ms[key]) for key, coeff in zip(poly.terms, nums)]
 
     rules = {i: over_ms(grammar.rules[i]) for i in live}
     logs = {key: [(t, x_rates[i]) for i, t in enumerate(key) if t] for key in keys}
@@ -258,17 +256,16 @@ def gen_product(a: list[LaurentPoly], b: list[LaurentPoly]) -> list[LaurentPoly]
     vars = a[0].vars
     if any(p.vars != vars for p in (*a[:order + 1], *b[:order + 1])):
         raise AlgebraError(f"mismatched variable sets in a product of streams over {vars}")
-    scaled = [[_scaled(p.terms) for p in s[:order + 1]] for s in (a, b)]
-    da, db = (math.lcm(*(d for d, _ in s)) for s in scaled)
-    width = _width(*((key for _, terms in s for key in terms) for s in scaled))
-    packed = [[(d, _packed(terms, width)) for d, terms in s] for s in scaled]
+    width = _width(*((key for p in s[:order + 1] for key in p.terms) for s in (a, b)))
+    packed = [[_packed(p.terms, width) for p in s[:order + 1]] for s in (a, b)]
+    da, db = (math.lcm(*(d for d, _ in s)) for s in packed)
     keys: dict[int, tuple[int, ...]] = {}
     out = []
     for n in range(order + 1):
         nums: dict[int, int] = {}
         for k in range(n + 1):
             (dk, ak), (dj, bj) = packed[0][k], packed[1][n - k]
-            _mul_packed_into(nums, keys, ak, bj, math.comb(n, k) * (da // dk) * (db // dj))
+            _mul_into(nums, keys, ak, bj, math.comb(n, k) * (da // dk) * (db // dj))
         out.append(_over(vars, nums, da * db, keys))
     return out
 

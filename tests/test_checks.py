@@ -173,6 +173,8 @@ def test_brute_force_checks_refuse_before_walking(check_id, monkeypatch):
     assert report.counterexample.startswith(
         "EnumerationCapError: n=10 exceeds the enumeration cap 9")
     assert walked == []
+    # refusing changes only the walk: the report names the grammars a walking run names
+    assert report.provenance == run_check(check_id, n_max=1).provenance
 
 
 # What every report compared and noted at n_max=3, order=3, as the checks
