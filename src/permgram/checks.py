@@ -231,7 +231,7 @@ def _run_samples(spec: CheckSpec, rec: Report, parts: Sequence[tuple]) -> list[d
     """
     points = []
     for target, builder, grid, *keep in parts:
-        polys = [specialized_poly(n, target, cap=spec.cap) if not keep or keep[0](n) else None
+        polys = [specialized_poly(n, target) if not keep or keep[0](n) else None
                  for n in range(spec.order + 1)]
         build = getattr(series, builder)  # by name, so a rebound builder is the one run
         for label, args, point in grid(spec.order):
@@ -274,16 +274,16 @@ def _hyp_identity(check_id: str, description: str,
 
 
 def _derivative(check_id: str, description: str, grammar: str, seed: str, first: int,
-                oracle: Callable[[Grammar, int, int], LaurentPoly], label: str, note: str,
+                oracle: Callable[[Grammar, int], LaurentPoly], label: str, note: str,
                 lhs: Callable[[LaurentPoly], LaurentPoly] = lambda poly: poly) -> CheckDef:
     """An exact-symbolic row: ``lhs(D^n(seed))`` under a built-in grammar
-    against ``oracle(g, n, cap)`` for n = first..n_max.  ``label`` is
+    against ``oracle(g, n)`` for n = first..n_max.  ``label`` is
     formatted with n and ``note`` with n_max."""
     def run(spec: CheckSpec, rec: Report) -> None:
         g = rec.grammar(grammar)
         chain = gen_coeffs(g, g.poly(seed), max(spec.n_max, 0))
         for n in range(first, spec.n_max + 1):
-            rec.poly_equal(lhs(chain[n]), oracle(g, n, spec.cap), label.format(n=n))
+            rec.poly_equal(lhs(chain[n]), oracle(g, n), label.format(n=n))
         rec.note(note.format(n_max=spec.n_max))
     return CheckDef(check_id, "exact-symbolic", description, run, n_max=8)
 
@@ -313,8 +313,8 @@ def _run_insertion(spec: CheckSpec, rec: Report) -> None:
 
 def _run_conv(spec: CheckSpec, rec: Report) -> None:
     q0 = LaurentPoly.variable(WEIGHT_VARS, "w")
-    p = [enumerate_poly(k, "P", cap=spec.cap) for k in range(spec.n_max + 2)]
-    q = [q0] + [enumerate_poly(k, "Q", cap=spec.cap) for k in range(1, spec.n_max + 1)]
+    p = [enumerate_poly(k, "P") for k in range(spec.n_max + 2)]
+    q = [q0] + [enumerate_poly(k, "Q") for k in range(1, spec.n_max + 1)]
     conv = gen_product(p, q)  # truncated to order n_max by q
     for n in range(1, spec.n_max + 1):
         rec.poly_equal(p[n + 1], conv[n], f"convolution at n={n}")
@@ -369,7 +369,8 @@ def _run_quotient(spec: CheckSpec, rec: Report) -> None:
     rhs = gen_coeffs(g, g.poly("x^-1*z"), spec.order)
     for n in range(spec.order + 1):
         rec.poly_equal(lhs[n], rhs[n], f"squared-quotient identity at t^{n}")
-    rec.note(f"Gen(z)^2 Gen(x^-1/2 z^-1/2)^2 = Gen(x^-1 z) through t^{spec.order}")
+    rec.note(f"Gen(z)^2 Gen(x^-1/2 z^-1/2)^2 = Gen(x^-1 z) through t^{spec.order}: "
+             "gen_coeffs and gen_product respect the Leibniz rule (true under every grammar)")
 
 
 def _run_stats_id(spec: CheckSpec, rec: Report) -> None:
@@ -428,7 +429,7 @@ def _run_involutions(spec: CheckSpec, rec: Report) -> None:
     ns = range(spec.n_max + 1)
     _check_series_against(rec, rhs, [F(involution_count(n, spec.cap)) for n in ns],
                           "involution count")
-    _check_series_against(rec, rhs, [specialized_poly(n, "L", cap=spec.cap).coeff({}) for n in ns],
+    _check_series_against(rec, rhs, [specialized_poly(n, "L").coeff({}) for n in ns],
                           "L_n(0)")
     rec.note(f"involution counts match exp(t + t^2/2) and L_n(0) for n <= {spec.n_max}")
 
@@ -528,15 +529,15 @@ class CheckDef:
 # one is the one called.
 _REGISTRY_ENTRIES = (
     _derivative("thm-P", "D^n(z) equals the exterior-scheme enumeration", "G", "z", 0,
-                lambda g, n, cap: enumerate_poly(n, "P", cap=cap),
+                lambda g, n: enumerate_poly(n, "P"),
                 "derivative vs enumeration at n={n}",
                 "D^n(z) equals the exterior-scheme enumeration for 0 <= n <= {n_max}"),
     _derivative("thm-Q", "D^n(w) equals the peak-scheme enumeration", "G", "w", 1,
-                lambda g, n, cap: enumerate_poly(n, "Q", cap=cap),
+                lambda g, n: enumerate_poly(n, "Q"),
                 "derivative vs enumeration at n={n}",
                 "D^n(w) equals the peak-scheme enumeration for 1 <= n <= {n_max}"),
     _derivative("w-cor", "D^n(w) at v=z equals the valley-marked enumeration", "G", "w", 1,
-                lambda g, n, cap: enumerate_poly(n, "W", cap=cap), "v->z specialization at n={n}",
+                lambda g, n: enumerate_poly(n, "W"), "v->z specialization at n={n}",
                 "D^n(w) at v=z equals the valley-marked enumeration for 1 <= n <= {n_max}",
                 lhs=lambda poly: poly.substitute({"v": "z"})),
     CheckDef("insertion", "exact-symbolic",
@@ -548,26 +549,26 @@ _REGISTRY_ENTRIES = (
     CheckDef("gen-x1z", "exact-symbolic",
              "binomial closed form of D^n(x^-1 z)", _run_gen_x1z, order=12),
     CheckDef("quotient", "exact-symbolic",
-             "squared quotient identity for the half-exponent seed", _run_quotient, order=12),
+             "engine self-check: gen_coeffs and gen_product respect the Leibniz rule",
+             _run_quotient, order=12),
     CheckDef("stats-id", "exact-symbolic",
              "exhaustive statistic identities and labeling consistency", _run_stats_id, n_max=7),
     CheckDef("grammar-chain", "exact-symbolic",
              "specialization chains onto the reference grammars", _run_grammar_chain, n_max=6),
     _derivative("g1-eulerian", "g1 generates the Eulerian polynomials", "g1", "x", 0,
-                lambda g, n, cap: (specialized_poly(n, "Eulerian", cap=cap).with_vars(g.vars)
-                                   * g.poly("x")),
+                lambda g, n: specialized_poly(n, "Eulerian").with_vars(g.vars) * g.poly("x"),
                 "Eulerian specialization at n={n}",
                 "D^n(x) under g1 at y=1 equals x times the descent polynomial, n <= {n_max}",
                 lhs=lambda poly: poly.substitute({"y": 1})),
     _derivative("g2-exterior", "g2 generates the exterior-peak distribution", "g2", "x", 0,
-                lambda g, n, cap: (specialized_poly(n, "Gessel-T", cap=cap).with_vars(g.vars)
-                                   .substitute({"x": g.poly("x^2*y^-2")})
-                                   * g.poly("x") * g.poly("y") ** n),
+                lambda g, n: (specialized_poly(n, "Gessel-T").with_vars(g.vars)
+                              .substitute({"x": g.poly("x^2*y^-2")})
+                              * g.poly("x") * g.poly("y") ** n),
                 "exterior-peak distribution at n={n}",
                 "D^n(x) under g2 equals sum x^(2k+1) y^(n-2k) over exterior-peak counts, "
                 "n <= {n_max}"),
     _derivative("g3-fu", "g3 generates the four-variable distribution", "g3", "z", 0,
-                lambda g, n, cap: specialized_poly(n, "Fu", cap=cap),
+                lambda g, n: specialized_poly(n, "Fu"),
                 "four-variable distribution at n={n}",
                 "D^n(z) under g3 equals the exterior-peak/descent enumeration, n <= {n_max}"),
     _sampled("gessel", "exterior-peak generating function",
@@ -610,10 +611,10 @@ _REGISTRY_ENTRIES = (
              "involution counts from exp(t + t^2/2) and L_n(0)", _run_involutions, n_max=8),
     CheckDef("genp-num", "numeric", "main exterior-scheme closed form vs exact series",
              lambda spec, rec: _run_gen_num(spec, rec, "z", specialfn.gen_p_value,
-                                            "exterior-scheme"), tol=1e-8),
+                                            "exterior-scheme"), tol=1e-10),
     CheckDef("genq-num", "numeric", "main peak-scheme closed form vs exact series",
              lambda spec, rec: _run_gen_num(spec, rec, "w", specialfn.gen_q_value, "peak-scheme"),
-             tol=1e-8),
+             tol=1e-10),
     CheckDef("pcf-closed", "numeric",
              "integer-order cylinder functions", _run_pcf_closed, tol=1e-12),
     CheckDef("pcf-rec", "numeric",

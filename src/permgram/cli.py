@@ -48,8 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="exact distribution polynomials over S_n (statistic oracle)")
     enum.add_argument("--family", required=True, choices=_ENUM_CHOICES)
     enum.add_argument("--n", type=int, required=True)
-    enum.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                      help=f"largest n the oracle accepts (default {DEFAULT_CAP})")
     enum.add_argument("--csv", metavar="PATH",
                       help="also export the triangle rows 0..n as CSV (univariate families)")
     enum.add_argument("--seq", metavar="PATH",
@@ -62,7 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--order", type=int, default=None)
     verify.add_argument("--tol", type=float, default=None,
                         help="residual tolerance of the numeric checks (finite, > 0)")
-    verify.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    verify.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                        help=f"largest n the brute-force walks of S_n accept (default {DEFAULT_CAP})")
     verify.add_argument("--jobs", type=int, default=1, help="worker processes (at least 1)")
     verify.add_argument("--json", metavar="PATH", help="write the machine-readable report")
 
@@ -108,12 +107,12 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         return USAGE_ERROR
     _check_writable(args.csv, args.seq)
     if args.family in ENUMERATED_FAMILIES:
-        poly = perms.enumerate_poly(args.n, args.family, cap=args.cap)
+        poly = perms.enumerate_poly(args.n, args.family)
     else:
-        poly = perms.specialized_poly(args.n, args.family, cap=args.cap)
+        poly = perms.specialized_poly(args.n, args.family)
     print(poly)
     if args.csv or args.seq:
-        rows = perms.triangle(args.family, args.n, cap=args.cap)
+        rows = perms.triangle(args.family, args.n)
         if args.csv:
             sequences.write_triangle_csv(rows, args.csv)
             print(f"wrote triangle rows 0..{args.n} to {args.csv}", file=sys.stderr)

@@ -40,13 +40,13 @@ Perm = tuple[int, ...]
 #: The variable set the weight monomials live over (matches grammar ``G``).
 WEIGHT_VARS = ("x", "y", "z", "w", "u", "v")
 
-#: Largest n enumerated by default.  It bounds the statistic oracle and the
-#: checks that walk S_n by brute force (9! permutations take seconds).
+#: Largest n that ``permutations`` walks by default (9! permutations take
+#: seconds).  The statistic oracle is polynomial time and takes no cap.
 DEFAULT_CAP = 9
 
 
 class EnumerationCapError(ValueError):
-    """n exceeds the configured enumeration cap."""
+    """n exceeds the cap of a brute-force walk over S_n."""
 
 
 class StatVector(NamedTuple):
@@ -365,11 +365,10 @@ def _transfer(n: int) -> Counter:
     return counts
 
 
-def stat_counts(n: int, cap: int = DEFAULT_CAP) -> Mapping[StatVector, int]:
+def stat_counts(n: int) -> Mapping[StatVector, int]:
     """Multiplicity of each statistic vector over S_n (cached per n)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    _require_cap(n, cap)
     if n not in _STAT_COUNTS:
         _STAT_COUNTS[n] = _transfer(n)
     return _STAT_COUNTS[n]
@@ -408,13 +407,13 @@ TRIANGLE_TARGETS = tuple(name for name in SPECIALIZED_TARGETS
                          if len(_DISTRIBUTIONS[name].vars) == 1)
 
 
-def _distribution(kind: str, name: str, n: int, cap: int) -> LaurentPoly:
+def _distribution(kind: str, name: str, n: int) -> LaurentPoly:
     """Sum over S_n of the monomials the table gives ``name``."""
     dist = _DISTRIBUTIONS[name]
     if dist.first_n and n < dist.first_n:  # stat_counts rejects negative n itself
         raise ValueError(f"{kind} {name} is defined for n >= {dist.first_n}")
     terms: dict[tuple[int, ...], Fraction] = {}
-    for s, count in stat_counts(n, cap).items():
+    for s, count in stat_counts(n).items():
         exps = dist.exponents(s, n)
         if exps is None:
             continue
@@ -423,7 +422,7 @@ def _distribution(kind: str, name: str, n: int, cap: int) -> LaurentPoly:
     return LaurentPoly(dist.vars, terms)
 
 
-def enumerate_poly(n: int, family: str, cap: int = DEFAULT_CAP) -> LaurentPoly:
+def enumerate_poly(n: int, family: str) -> LaurentPoly:
     """Exact sum of weights over S_n for the P, Q, or W family.
 
     P is the exterior-scheme distribution (n >= 0), Q the peak-scheme one
@@ -432,10 +431,10 @@ def enumerate_poly(n: int, family: str, cap: int = DEFAULT_CAP) -> LaurentPoly:
     """
     if family not in ENUMERATED_FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {ENUMERATED_FAMILIES}")
-    return _distribution("family", family, n, cap)
+    return _distribution("family", family, n)
 
 
-def specialized_poly(n: int, target: str, cap: int = DEFAULT_CAP) -> LaurentPoly:
+def specialized_poly(n: int, target: str) -> LaurentPoly:
     """Specialized distribution polynomials, each over its own variables.
 
     T       joint exterior peaks of pattern 132 (x) and 231 (y)
@@ -450,17 +449,17 @@ def specialized_poly(n: int, target: str, cap: int = DEFAULT_CAP) -> LaurentPoly
     """
     if target not in SPECIALIZED_TARGETS:
         raise ValueError(f"unknown target {target!r}; expected one of {SPECIALIZED_TARGETS}")
-    return _distribution("target", target, n, cap)
+    return _distribution("target", target, n)
 
 
-def triangle(target: str, n_max: int, cap: int = DEFAULT_CAP) -> list[list[int]]:
+def triangle(target: str, n_max: int) -> list[list[int]]:
     """Integer triangle of a univariate target: row n lists the counts for
     k = 0..deg, rows n = 0..n_max."""
     if target not in TRIANGLE_TARGETS:
         raise ValueError(f"target {target!r} is not univariate; expected one of {TRIANGLE_TARGETS}")
     rows: list[list[int]] = []
     for n in range(n_max + 1):
-        poly = specialized_poly(n, target, cap)
+        poly = specialized_poly(n, target)
         degree = max((key[0] // 2 for key in poly.terms), default=0)
         row = [int(poly.coeff({poly.vars[0]: k})) for k in range(degree + 1)]
         rows.append(row)

@@ -96,6 +96,22 @@ def test_recorder_fails_a_nan():
     assert not rec.passed and rec.max_residual == 1e-12
 
 
+def test_genp_num_tolerance_kills_a_small_exponent_drift(monkeypatch):
+    # a 2.5e-8 relative error in the exponent d2 t^2/4 moves the value by
+    # 1.6e-10 to 4.7e-10 at the five trials: inside 1e-8, outside 1e-10
+    real = specialfn.gen_p_value
+
+    def drifted(point, t):
+        d2 = point["x"] * point["v"] - point["z"] * point["u"]
+        return real(point, t) * math.exp(2.5e-8 * d2 * t * t / 4)
+
+    monkeypatch.setattr(specialfn, "gen_p_value", drifted)
+    report = run_check("genp-num")
+    assert not report.passed
+    assert 1e-10 < report.max_residual < 1e-9
+    assert report.counterexample.startswith("trial 0 at t=")
+
+
 def test_numeric_check_fails_a_nan_closed_form(monkeypatch):
     monkeypatch.setattr(specialfn, "gen_p_value", lambda point, t: float("nan"))
     report = run_check("genp-num")
@@ -134,10 +150,18 @@ def test_run_many_preserves_registry_order():
 
 
 def test_runner_error_fails_only_its_check():
-    gessel, pcf = run_many(["gessel", "pcf-closed"], order=6, cap=5)
-    assert not gessel.passed
-    assert gessel.counterexample.startswith("EnumerationCapError: ")
+    walk, pcf = run_many(["stats-id", "pcf-closed"], cap=5)
+    assert not walk.passed
+    assert walk.counterexample.startswith("EnumerationCapError: ")
     assert pcf.passed
+
+
+@pytest.mark.parametrize("check_id, bounds", [("conv", {"n_max": 9}), ("gessel", {"order": 10})],
+                         ids=["conv", "gessel"])
+def test_oracle_checks_take_no_cap(check_id, bounds):
+    # the oracle behind these builds S_10 in milliseconds: only the check's own bound applies
+    report = run_check(check_id, **bounds)
+    assert report.passed, report.counterexample
 
 
 def test_a_check_that_compares_nothing_fails():
@@ -188,7 +212,8 @@ COUNTS_AT_3 = {
     "conv": (3, "P_(n+1) = sum C(n,k) P_k Q_(n-k) with Q_0 = w for 1 <= n <= 3"),
     "ode": (9, "f'' - (gamma/8 t^2 + beta/4 t + alpha/4) f vanishes through t^3"),
     "gen-x1z": (4, "D^n(x^-1 z) matches its binomial closed form through n = 3"),
-    "quotient": (4, "Gen(z)^2 Gen(x^-1/2 z^-1/2)^2 = Gen(x^-1 z) through t^3"),
+    "quotient": (4, "Gen(z)^2 Gen(x^-1/2 z^-1/2)^2 = Gen(x^-1 z) through t^3: gen_coeffs "
+                    "and gen_product respect the Leibniz rule (true under every grammar)"),
     "stats-id": (28, "consecutive-pattern, peak/valley, and labeling identities hold for n <= 3"),
     "grammar-chain": (30, "G reduces to g1, g2, g3 and the reductions commute with D up to n = 3"),
     "g1-eulerian": (4, "D^n(x) under g1 at y=1 equals x times the descent polynomial, n <= 3"),

@@ -45,8 +45,13 @@ def test_enumerate_families(capsys):
 
 
 def test_enumerate_cap(capsys):
-    assert main(["enumerate", "--family", "P", "--n", "10"]) == 2
-    assert "cap" in capsys.readouterr().err
+    # the oracle takes no cap, so enumerate has none
+    assert main(["enumerate", "--family", "P", "--n", "10"]) == 0
+    assert capsys.readouterr().out.strip().startswith("z")
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--family", "P", "--n", "10", "--cap", "10"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap" in capsys.readouterr().err
 
 
 def test_enumerate_csv_export(tmp_path, capsys):
@@ -112,8 +117,8 @@ def test_a_bad_path_is_a_usage_error(argv, tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["verify", "no-such-check", "--json", "{dir}/r.json"],
     ["enumerate", "--family", "P", "--n", "3", "--csv", "{dir}/x.csv"],
-    ["enumerate", "--family", "L", "--n", "10", "--csv", "{dir}/x.csv", "--seq", "{dir}/x.seq"],
-], ids=["unknown-check", "no-triangle", "over-the-cap"])
+    ["enumerate", "--family", "L", "--n", "-1", "--csv", "{dir}/x.csv", "--seq", "{dir}/x.seq"],
+], ids=["unknown-check", "no-triangle", "negative-n"])
 def test_a_refused_run_leaves_no_file(argv, tmp_path, capsys):
     assert main([arg.format(dir=tmp_path) for arg in argv]) == 2
     assert capsys.readouterr().out == ""
@@ -146,7 +151,7 @@ def test_verify_json_report(tmp_path, capsys):
 
 def test_verify_runner_error_is_a_failed_report(tmp_path, capsys):
     report_path = tmp_path / "report.json"
-    assert main(["verify", "gessel", "--order", "6", "--cap", "5", "--json", str(report_path)]) == 1
+    assert main(["verify", "insertion", "--cap", "5", "--json", str(report_path)]) == 1
     document = json.loads(report_path.read_text())
     assert document["passed"] is False
     assert document["checks"][0]["counterexample"].startswith("EnumerationCapError: n=6")
@@ -210,15 +215,13 @@ def test_oeis_compare(tmp_path, capsys):
 
 def test_oeis_round_trip_past_the_default_cap(tmp_path, capsys):
     tri = tmp_path / "gessel.csv"
-    assert main(["enumerate", "--family", "Gessel-T", "--n", "10", "--cap", "10",
-                 "--csv", str(tri)]) == 0
+    assert main(["enumerate", "--family", "Gessel-T", "--n", "10", "--csv", str(tri)]) == 0
     capsys.readouterr()
     assert main(["oeis", "--local", str(tri), "--ref", "A008971"]) == 0
     assert "on the first 36 terms" in capsys.readouterr().out
 
     ltri = tmp_path / "l.csv"
-    assert main(["enumerate", "--family", "L", "--n", "12", "--cap", "12",
-                 "--csv", str(ltri)]) == 0
+    assert main(["enumerate", "--family", "L", "--n", "12", "--csv", str(ltri)]) == 0
     capsys.readouterr()
     assert main(["oeis", "--local", str(ltri), "--ref", "A000085", "--column", "0"]) == 0
     assert "on the first 13 terms" in capsys.readouterr().out

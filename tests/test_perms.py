@@ -202,16 +202,13 @@ def test_triangles():
 
 def test_enumeration_cap():
     with pytest.raises(EnumerationCapError):
-        stat_counts(DEFAULT_CAP + 1)
-    with pytest.raises(EnumerationCapError):
-        enumerate_poly(DEFAULT_CAP + 1, "P")
-    with pytest.raises(EnumerationCapError):
         permutations(6, cap=5)
     with pytest.raises(EnumerationCapError):
         involution_count(6, cap=5)
     # raising the cap explicitly is allowed (kept tiny here)
-    assert stat_counts(3, cap=3)
     assert involution_count(4, cap=4) == 10
+    # the cap bounds only the brute-force walks, never the oracle
+    assert sum(stat_counts(DEFAULT_CAP + 1).values()) == math.factorial(DEFAULT_CAP + 1)
 
 
 def test_oracle_matches_the_sweep(monkeypatch):
@@ -223,24 +220,24 @@ def test_oracle_matches_the_sweep(monkeypatch):
 
 def test_oracle_beyond_the_sweep():
     # past brute-force range: closed counts for n <= 12
-    cap = 12
+    n_max = 12
     zigzag = [  # Euler zigzag numbers: down-up permutations of [n]
         1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521, 353792, 2702765]
     involutions = [1, 1]
-    for n in range(2, cap + 1):
+    for n in range(2, n_max + 1):
         involutions.append(involutions[-1] + (n - 1) * involutions[-2])
-    for n in range(cap + 1):
-        assert sum(stat_counts(n, cap=cap).values()) == math.factorial(n)
-        eulerian = specialized_poly(n, "Eulerian", cap=cap)
+    for n in range(n_max + 1):
+        assert sum(stat_counts(n).values()) == math.factorial(n)
+        eulerian = specialized_poly(n, "Eulerian")
         for k in range(max(n, 1)):
             explicit = sum((-1) ** j * math.comb(n + 1, j) * (k + 1 - j) ** n
                            for j in range(k + 1))
             assert eulerian.coeff({"x": k}) == explicit, (n, k)
-        assert specialized_poly(n, "TA", cap=cap).evaluate({"x": 1, "y": 1}) == zigzag[n]
-        assert specialized_poly(n, "L", cap=cap).coeff({}) == involutions[n]
+        assert specialized_poly(n, "TA").evaluate({"x": 1, "y": 1}) == zigzag[n]
+        assert specialized_poly(n, "L").coeff({}) == involutions[n]
 
 
 @pytest.mark.parametrize("check_id", ["thm-P", "thm-Q", "g1-eulerian"])
 def test_derivative_checks_agree_past_the_default_cap(check_id):
-    report = run_check(check_id, n_max=11, cap=11)
+    report = run_check(check_id, n_max=11)
     assert report.passed and report.checked >= 11
