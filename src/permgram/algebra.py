@@ -79,7 +79,7 @@ def _key(vars: tuple[str, ...], exponents: Mapping[str, Scalar]) -> tuple[int, .
     for name, exp in exponents.items():
         if name not in vars:
             raise AlgebraError(f"unknown variable {name!r}")
-        key[vars.index(name)] = _twice(exp)
+        key[vars.index(name)] = 2 * exp if type(exp) is int else _twice(exp)
     return tuple(key)
 
 

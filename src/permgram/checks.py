@@ -303,10 +303,11 @@ def _run_insertion(spec: CheckSpec, rec: Report) -> None:
     _require_walk(spec)
     for n in range(spec.n_max + 1):
         for perm in permutations(n, spec.cap):
-            total = LaurentPoly.zero(WEIGHT_VARS)
+            terms: dict = {}
             for child in perms.insertion_children(perm):
-                total = total + label_exterior(child).weight
-            rec.poly_equal(total, g.derive(label_exterior(perm).weight),
+                for key, coeff in label_exterior(child).weight.terms.items():
+                    terms[key] = terms.get(key, 0) + coeff
+            rec.poly_equal(LaurentPoly(WEIGHT_VARS, terms), g.derive(label_exterior(perm).weight),
                            f"insertion step at {perm or '()'}")
     rec.note(f"summed child weights equal D(weight) for every permutation, n <= {spec.n_max}")
 

@@ -20,7 +20,7 @@ where noted):
   boundary zeros; a peak has pattern 132 when pi_{i-1} <= pi_{i+1}
   (non-strict: equality occurs only for the one-element permutation) and
   pattern 231 when pi_{i-1} > pi_{i+1}.  The two peak predicates are
-  deliberately separate code paths from the exterior ones.
+  deliberately separate tests from the exterior ones.
 * descents use the standard definition pi_i > pi_{i+1}, 1 <= i <= n-1.
 * alternating means down-up: pi_1 > pi_2 < pi_3 > ...
 """
@@ -28,9 +28,10 @@ where noted):
 from __future__ import annotations
 
 import itertools
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import lt
+from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .algebra import LaurentPoly
@@ -94,38 +95,32 @@ def stats(perm: Sequence[int]) -> StatVector:
     """
     perm = tuple(perm)
     n = len(perm)
-    ep1 = ep2 = pdd = 0
-    for i in range(1, n):  # exterior statistics: left boundary zero only
-        left = perm[i - 2] if i >= 2 else 0
-        mid = perm[i - 1]
-        right = perm[i]
-        if left < mid > right:
-            if left < right:
-                ep1 += 1
-            else:
-                ep2 += 1
-    for i in range(2, n):
-        if perm[i - 2] > perm[i - 1] > perm[i]:
-            pdd += 1
-    p1 = p2 = dd = dr = valleys = 0
-    for i in range(1, n + 1):  # both boundary zeros
-        left = perm[i - 2] if i >= 2 else 0
-        mid = perm[i - 1]
-        right = perm[i] if i < n else 0
+    ep1 = ep2 = pdd = p1 = p2 = dd = dr = valleys = des = breaks = 0
+    padded = (0,) + perm + (0,)  # both boundary zeros
+    for i, left, mid, right in zip(range(1, n + 1), padded, perm, padded[2:]):
+        interior = i < n  # right is pi_{i+1}, not the right boundary zero
         if left < mid > right:
             if left <= right:
                 p1 += 1
             else:
                 p2 += 1
+            if interior:  # exterior statistics: left boundary zero only
+                if left < right:
+                    ep1 += 1
+                else:
+                    ep2 += 1
         elif left > mid < right:
             valleys += 1
         elif left > mid > right:
             dd += 1
+            pdd += interior  # left > mid, so left is pi_{i-1} and i >= 2
         else:
             dr += 1
-    des = sum(perm[i] > perm[i + 1] for i in range(n - 1))
-    alternating = all((perm[i] > perm[i + 1]) == (i % 2 == 0) for i in range(n - 1))
-    return StatVector(ep1, ep2, pdd, p1, p2, dd, dr, valleys, des, alternating)
+        if interior:
+            descent = mid > right
+            des += descent
+            breaks += descent != (i % 2 == 1)
+    return StatVector(ep1, ep2, pdd, p1, p2, dd, dr, valleys, des, breaks == 0)
 
 
 # -- grammatical labelings ---------------------------------------------------
@@ -140,8 +135,7 @@ class Labeling:
 
 
 def _weight_from_labels(labels: Sequence[str]) -> LaurentPoly:
-    counts = Counter(labels)
-    return LaurentPoly.monomial(WEIGHT_VARS, {name: counts.get(name, 0) for name in WEIGHT_VARS})
+    return LaurentPoly.monomial(WEIGHT_VARS, {name: labels.count(name) for name in WEIGHT_VARS})
 
 
 def _assign(labels: list[str | None], pos: int, label: str) -> None:
@@ -251,14 +245,9 @@ def insertion_children(perm: Sequence[int]) -> list[Perm]:
     return [perm[:i] + (new,) + perm[i:] for i in range(new)]
 
 
-def reduction(window: Sequence[int]) -> Perm:
-    """Order-reduction of a window onto 1..m."""
-    ranking = sorted(window)
-    return tuple(ranking.index(value) + 1 for value in window)
-
-
 def consecutive_count(perm: Sequence[int], pattern: Sequence[int]) -> int:
-    """Number of adjacent windows whose reduction equals the pattern.
+    """Number of adjacent windows order-isomorphic to the pattern: read in
+    the order the pattern ranks its positions, a window's values increase.
 
     >>> consecutive_count((1, 2, 3, 4, 5, 6), (1, 2))
     5
@@ -268,10 +257,10 @@ def consecutive_count(perm: Sequence[int], pattern: Sequence[int]) -> int:
     if m == 0:
         raise ValueError("empty pattern")
     perm = tuple(perm)
-    return sum(
-        reduction(perm[i:i + m]) == pattern
-        for i in range(len(perm) - m + 1)
-    )
+    last = max(len(perm) - m + 1, 0)  # number of windows
+    order = sorted(range(m), key=pattern.__getitem__)
+    return sum(all(map(lt, ranked, ranked[1:]))
+               for ranked in zip(*(perm[k:last + k] for k in order)))
 
 
 def involution_count(n: int, cap: int = DEFAULT_CAP) -> int:
@@ -301,7 +290,7 @@ _FIELD = 16  # bits per count; every count is at most n
 _EP1, _EP2, _PDD, _P1, _P2, _DD, _DR, _VALLEY, _DES, _BREAK = (
     1 << (_FIELD * i) for i in range(10))
 
-_STAT_COUNTS: dict[int, Counter] = {}
+_STAT_COUNTS: dict[int, dict[StatVector, int]] = {}
 
 
 def _sweep(n: int) -> Counter:
@@ -335,43 +324,50 @@ def _unpack(packed: int) -> StatVector:
     return StatVector(*fields[:9], alternating=fields[9] == 0)
 
 
-def _transfer(n: int) -> Counter:
+def _transfer(n: int) -> dict[StatVector, int]:
     """Multiplicity of each statistic vector over S_n, by the rank transfer."""
     if n == 0:
-        return Counter({stats(()): 1})
+        return {stats(()): 1}
     # After k values are placed, a state is (below, below_prev, falling):
     # the unplaced values smaller than the last value, the same for the
     # value before it (None for the virtual left zero), and whether that
     # value is the larger of the two.  Each state maps the packed counts of
     # the triples centred at positions 1..k-1 to their multiplicity.
-    layer: dict = {(rank, None, False): Counter({0: 1}) for rank in range(n)}
+    layer: dict = {(rank, None, False): {0: 1} for rank in range(n)}
     for k in range(1, n):
-        following: defaultdict = defaultdict(Counter)
+        following: dict = {}
         for (below, below_prev, falling), vectors in layer.items():
             for rank in range(n - k):  # place the rank-th smallest unplaced value
                 descent = rank < below
                 step = _triple(falling, below_prev is not None and rank < below_prev,
                                descent, k)
-                target = following[rank, below - descent, descent]
+                state = rank, below - descent, descent
+                target = following.get(state)
+                if target is None:
+                    target = following[state] = {}
+                get = target.get
                 for packed, count in vectors.items():
-                    target[packed + step] += count
+                    packed += step
+                    target[packed] = get(packed, 0) + count
         layer = following
-    counts: Counter = Counter()
+    counts: dict[StatVector, int] = {}
     for (_, below_prev, falling), vectors in layer.items():
         # the triple centred at n meets the right boundary zero
         step = _DD if falling else (_P1 if below_prev is None else _P2)
         for packed, count in vectors.items():
-            counts[_unpack(packed + step)] += count
+            s = _unpack(packed + step)
+            counts[s] = counts.get(s, 0) + count
     return counts
 
 
 def stat_counts(n: int) -> Mapping[StatVector, int]:
-    """Multiplicity of each statistic vector over S_n (cached per n)."""
+    """Multiplicity of each statistic vector over S_n, as a read-only view
+    of the per-n cache."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n not in _STAT_COUNTS:
         _STAT_COUNTS[n] = _transfer(n)
-    return _STAT_COUNTS[n]
+    return MappingProxyType(_STAT_COUNTS[n])
 
 
 class _Distribution(NamedTuple):
@@ -412,13 +408,13 @@ def _distribution(kind: str, name: str, n: int) -> LaurentPoly:
     dist = _DISTRIBUTIONS[name]
     if dist.first_n and n < dist.first_n:  # stat_counts rejects negative n itself
         raise ValueError(f"{kind} {name} is defined for n >= {dist.first_n}")
-    terms: dict[tuple[int, ...], Fraction] = {}
+    terms: dict[tuple[int, ...], int] = {}
     for s, count in stat_counts(n).items():
         exps = dist.exponents(s, n)
         if exps is None:
             continue
         key = tuple(2 * e for e in exps)
-        terms[key] = terms.get(key, Fraction(0)) + count
+        terms[key] = terms.get(key, 0) + count
     return LaurentPoly(dist.vars, terms)
 
 

@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
+from typing import Sequence
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permgram import perms as perms_module
-from permgram.algebra import parse_poly
+from permgram.algebra import LaurentPoly, parse_poly
 from permgram.checks import run_check
 from permgram.grammar import builtin, gen_coeffs
 from permgram.perms import (DEFAULT_CAP, EnumerationCapError, consecutive_count,
                             enumerate_poly, insertion_children, involution_count,
                             label_exterior, label_peak, peak_weight, permutations,
                             exterior_weight, specialized_poly, stat_counts, stats,
-                            triangle, check_permutation)
+                            triangle, check_permutation, Perm, StatVector)
 
 VARS = ("x", "y", "z", "w", "u", "v")
 
@@ -114,6 +119,107 @@ def test_consecutive_identity_matches_stats():
             s = stats(perm)
             total = consecutive_count(perm, (2, 3, 1)) + consecutive_count(perm, (3, 2, 1))
             assert total == s.ep2 + s.pdd
+
+
+# -- the slow definitions the one-pass code replaces ---------------------------
+#
+# ``reference_stats`` is the three-pass ``stats`` and the two functions after
+# it are the reduction-based ``consecutive_count``, kept verbatim as the
+# definitions the fast paths are tested against.
+
+
+def reference_stats(perm: Sequence[int]) -> StatVector:
+    perm = tuple(perm)
+    n = len(perm)
+    ep1 = ep2 = pdd = 0
+    for i in range(1, n):  # exterior statistics: left boundary zero only
+        left = perm[i - 2] if i >= 2 else 0
+        mid = perm[i - 1]
+        right = perm[i]
+        if left < mid > right:
+            if left < right:
+                ep1 += 1
+            else:
+                ep2 += 1
+    for i in range(2, n):
+        if perm[i - 2] > perm[i - 1] > perm[i]:
+            pdd += 1
+    p1 = p2 = dd = dr = valleys = 0
+    for i in range(1, n + 1):  # both boundary zeros
+        left = perm[i - 2] if i >= 2 else 0
+        mid = perm[i - 1]
+        right = perm[i] if i < n else 0
+        if left < mid > right:
+            if left <= right:
+                p1 += 1
+            else:
+                p2 += 1
+        elif left > mid < right:
+            valleys += 1
+        elif left > mid > right:
+            dd += 1
+        else:
+            dr += 1
+    des = sum(perm[i] > perm[i + 1] for i in range(n - 1))
+    alternating = all((perm[i] > perm[i + 1]) == (i % 2 == 0) for i in range(n - 1))
+    return StatVector(ep1, ep2, pdd, p1, p2, dd, dr, valleys, des, alternating)
+
+
+def reference_reduction(window: Sequence[int]) -> Perm:
+    """Order-reduction of a window onto 1..m."""
+    ranking = sorted(window)
+    return tuple(ranking.index(value) + 1 for value in window)
+
+
+def reference_consecutive_count(perm: Sequence[int], pattern: Sequence[int]) -> int:
+    pattern = check_permutation(pattern)
+    m = len(pattern)
+    if m == 0:
+        raise ValueError("empty pattern")
+    perm = tuple(perm)
+    return sum(
+        reference_reduction(perm[i:i + m]) == pattern
+        for i in range(len(perm) - m + 1)
+    )
+
+
+PATTERNS = [pattern for m in range(1, 5) for pattern in itertools.permutations(range(1, m + 1))]
+
+
+def assert_matches_the_definitions(perm):
+    assert stats(perm) == reference_stats(perm), perm
+    for pattern in PATTERNS:
+        assert consecutive_count(perm, pattern) == reference_consecutive_count(perm, pattern), \
+            (perm, pattern)
+
+
+def test_one_pass_definitions_match_the_references_exhaustively():
+    for n in range(8):
+        for perm in permutations(n):
+            assert_matches_the_definitions(perm)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 16).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_one_pass_definitions_match_the_references(perm):
+    assert_matches_the_definitions(tuple(perm))
+
+
+def test_label_weights_match_counter_built_monomials():
+    for n in range(7):
+        for perm in permutations(n):
+            for label in (label_exterior, label_peak) if n else (label_exterior,):
+                labeling = label(perm)
+                counts = Counter(labeling.labels)
+                expected = LaurentPoly.monomial(VARS, {name: counts.get(name, 0) for name in VARS})
+                assert labeling.weight == expected, (label.__name__, perm)
+
+
+def test_distribution_coefficients_are_ints():
+    for name, dist in perms_module._DISTRIBUTIONS.items():
+        for n in range(dist.first_n, 10):
+            poly = perms_module._distribution("family", name, n)
+            assert all(type(c) is int for c in poly.terms.values()), (name, n)
 
 
 def test_enumerate_poly_values():
@@ -216,6 +322,15 @@ def test_oracle_matches_the_sweep(monkeypatch):
     monkeypatch.setattr(perms_module, "_STAT_COUNTS", {})
     for n in range(9):
         assert stat_counts(n) == perms_module._sweep(n), n
+
+
+def test_stat_counts_is_a_read_only_view():
+    counts = stat_counts(4)
+    with pytest.raises(TypeError):
+        counts[stats((1, 2, 3, 4))] = 0
+    with pytest.raises(TypeError):
+        del counts[stats((1, 2, 3, 4))]
+    assert counts == perms_module._sweep(4)
 
 
 def test_oracle_beyond_the_sweep():
