@@ -20,7 +20,6 @@ orders compare equal, and the text rendering (canonical term order,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import add, attrgetter, getitem, lshift
@@ -53,24 +52,12 @@ def _exp_str(twice: int) -> str:
     return str(twice // 2) if twice % 2 == 0 else f"{twice}/2"
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """A product of variable powers over a fixed, ordered variable set."""
-
-    vars: tuple[str, ...]
-    twice: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.vars) != len(self.twice):
-            raise AlgebraError("exponent vector does not match variable set")
-
-    def __str__(self) -> str:
-        parts = []
-        for name, t in zip(self.vars, self.twice):
-            if t == 0:
-                continue
-            parts.append(name if t == 2 else f"{name}^{_exp_str(t)}")
-        return "*".join(parts) if parts else "1"
+def monomial_str(vars: Sequence[str], twice: Sequence[int]) -> str:
+    """The text of the monomial with doubled exponents ``twice`` over ``vars``:
+    ``x^1/2*z^-1``, or ``1`` for the empty product."""
+    parts = [name if t == 2 else f"{name}^{_exp_str(t)}"
+             for name, t in zip(vars, twice) if t != 0]
+    return "*".join(parts) if parts else "1"
 
 
 def _key(vars: tuple[str, ...], exponents: Mapping[str, Scalar]) -> tuple[int, ...]:
@@ -411,8 +398,7 @@ class LaurentPoly:
         pieces: list[str] = []
         for key in sorted(self.terms):
             coeff = self.terms[key]
-            mono = Monomial(self.vars, key)
-            mono_str = str(mono)
+            mono_str = monomial_str(self.vars, key)
             mag = abs(coeff)
             if mono_str == "1":
                 body = str(mag)

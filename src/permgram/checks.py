@@ -40,9 +40,9 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import perms, series, specialfn
-from .algebra import LaurentPoly, Monomial
+from .algebra import LaurentPoly, monomial_str
 from .grammar import Grammar, builtin, builtin_hash, flow_series, gen_coeffs, gen_product
-from .perms import (DEFAULT_CAP, WEIGHT_VARS, enumerate_poly, involution_count,
+from .perms import (WEIGHT_VARS, enumerate_poly, involution_count,
                     label_exterior, label_peak, peak_weight, permutations,
                     specialized_poly, stats)
 from .series import Series
@@ -61,7 +61,6 @@ class CheckSpec:
     n_max: int | None
     order: int | None
     tol: float | None
-    cap: int
 
 
 @dataclass
@@ -87,7 +86,6 @@ class Report:
             "n_max": self.spec.n_max,
             "order": self.spec.order,
             "tol": self.spec.tol,
-            "cap": self.spec.cap,
             "passed": self.passed,
             "checked": self.checked,
             "details": list(self.details),
@@ -154,7 +152,7 @@ def _first_poly_diff(a: LaurentPoly, b: LaurentPoly) -> tuple[str, Fraction, Fra
         ca = a.terms.get(key, F(0))
         cb = b.terms.get(key, F(0))
         if ca != cb:
-            return str(Monomial(a.vars, key)), ca, cb
+            return monomial_str(a.vars, key), ca, cb
     return "1", F(0), F(0)  # unreachable when a != b
 
 
@@ -291,18 +289,11 @@ def _derivative(check_id: str, description: str, grammar: str, seed: str, first:
 # -- exact-symbolic runners ----------------------------------------------------
 
 
-def _require_walk(spec: CheckSpec) -> None:
-    """Refuse a brute-force walk to n_max > cap before it walks S_0..S_cap,
-    with the error the walk would raise on reaching n = cap + 1."""
-    if spec.n_max > spec.cap:
-        perms._require_cap(spec.cap + 1, spec.cap)
-
-
 def _run_insertion(spec: CheckSpec, rec: Report) -> None:
     g = rec.grammar("G")
-    _require_walk(spec)
+    perms._require_cap(spec.n_max)  # refuse n_max before walking any S_n
     for n in range(spec.n_max + 1):
-        for perm in permutations(n, spec.cap):
+        for perm in permutations(n):
             terms: dict = {}
             for child in perms.insertion_children(perm):
                 for key, coeff in label_exterior(child).weight.terms.items():
@@ -375,10 +366,10 @@ def _run_quotient(spec: CheckSpec, rec: Report) -> None:
 
 
 def _run_stats_id(spec: CheckSpec, rec: Report) -> None:
-    _require_walk(spec)
+    perms._require_cap(spec.n_max)
     pat231, pat321 = (2, 3, 1), (3, 2, 1)
     for n in range(spec.n_max + 1):
-        for perm in permutations(n, spec.cap):
+        for perm in permutations(n):
             s = stats(perm)
             rec.equal(perms.consecutive_count(perm, pat231) + perms.consecutive_count(perm, pat321),
                       s.ep2 + s.pdd, f"consecutive 231+321 vs ep2+pdd at {perm}")
@@ -425,10 +416,10 @@ def _run_elizalde_noy(spec: CheckSpec, rec: Report) -> None:
 
 
 def _run_involutions(spec: CheckSpec, rec: Report) -> None:
-    _require_walk(spec)
+    perms._require_cap(spec.n_max)
     rhs = series.rhs_involutions(spec.n_max)
     ns = range(spec.n_max + 1)
-    _check_series_against(rec, rhs, [F(involution_count(n, spec.cap)) for n in ns],
+    _check_series_against(rec, rhs, [F(involution_count(n)) for n in ns],
                           "involution count")
     _check_series_against(rec, rhs, [specialized_poly(n, "L").coeff({}) for n in ns],
                           "L_n(0)")
@@ -648,7 +639,7 @@ def check_ids() -> tuple[str, ...]:
 
 
 def run_check(check_id: str, n_max: int | None = None, order: int | None = None,
-              tol: float | None = None, cap: int = DEFAULT_CAP) -> Report:
+              tol: float | None = None) -> Report:
     """Run one registry entry and assemble its report.
 
     An exception raised by the check's runner fails the check: the report
@@ -668,7 +659,6 @@ def run_check(check_id: str, n_max: int | None = None, order: int | None = None,
         n_max=definition.n_max if (n_max is None or definition.n_max is None) else n_max,
         order=definition.order if (order is None or definition.order is None) else order,
         tol=definition.tol if (tol is None or definition.tol is None) else tol,
-        cap=cap,
     )
     report = Report(spec)
     start = time.perf_counter()
@@ -681,12 +671,12 @@ def run_check(check_id: str, n_max: int | None = None, order: int | None = None,
         report.fail("no comparison was made")
     report.elapsed_s = time.perf_counter() - start
     report.provenance = {"grammar_sha256": {name: builtin_hash(name)
-                                            for name in sorted(report.grammars)}, "cap": cap}
+                                            for name in sorted(report.grammars)}}
     return report
 
 
 def run_many(ids: Sequence[str], n_max: int | None = None, order: int | None = None,
-             tol: float | None = None, cap: int = DEFAULT_CAP, jobs: int = 1) -> list[Report]:
+             tol: float | None = None, jobs: int = 1) -> list[Report]:
     """Run several checks, optionally in a process pool; reports come back
     in registry order regardless of completion order."""
     ordered = [check_id for check_id in REGISTRY if check_id in set(ids)]
@@ -696,6 +686,6 @@ def run_many(ids: Sequence[str], n_max: int | None = None, order: int | None = N
     if jobs > 1 and len(ordered) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(functools.partial(run_check, n_max=n_max, order=order,
-                                                   tol=tol, cap=cap), ordered))
-    return [run_check(cid, n_max=n_max, order=order, tol=tol, cap=cap) for cid in ordered]
+            return list(pool.map(functools.partial(run_check, n_max=n_max, order=order, tol=tol),
+                                 ordered))
+    return [run_check(cid, n_max=n_max, order=order, tol=tol) for cid in ordered]

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import checks, perms, sequences
 from .grammar import builtin_names, gen_coeffs, resolve_grammar
-from .perms import DEFAULT_CAP, ENUMERATED_FAMILIES, SPECIALIZED_TARGETS
+from .perms import ENUMERATED_FAMILIES, SPECIALIZED_TARGETS
 
 USAGE_ERROR = 2
 
@@ -60,8 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--order", type=int, default=None)
     verify.add_argument("--tol", type=float, default=None,
                         help="residual tolerance of the numeric checks (finite, > 0)")
-    verify.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                        help=f"largest n the brute-force walks of S_n accept (default {DEFAULT_CAP})")
     verify.add_argument("--jobs", type=int, default=1, help="worker processes (at least 1)")
     verify.add_argument("--json", metavar="PATH", help="write the machine-readable report")
 
@@ -134,7 +132,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 knobs.append(f"tol={entry.tol:g}")
             print(f"{check_id:<17} {entry.mode:<14} {entry.description} [{', '.join(knobs)}]")
         return 0
-    for flag, value in (("--n-max", args.n_max), ("--order", args.order), ("--cap", args.cap)):
+    for flag, value in (("--n-max", args.n_max), ("--order", args.order)):
         if value is not None and value < 0:
             print(f"error: {flag} must be nonnegative", file=sys.stderr)
             return USAGE_ERROR
@@ -147,7 +145,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     _check_writable(args.json)
     ids = list(checks.check_ids()) if args.check == "all" else [args.check]
     reports = checks.run_many(ids, n_max=args.n_max, order=args.order,
-                              tol=args.tol, cap=args.cap, jobs=args.jobs)
+                              tol=args.tol, jobs=args.jobs)
     for report in reports:
         print(report.summary())
     passed = sum(report.passed for report in reports)
@@ -158,10 +156,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             grammars.update(report.provenance["grammar_sha256"])
         document = {
             "options": {
-                "check": args.check, "n_max": args.n_max, "order": args.order,
-                "tol": args.tol, "cap": args.cap,
+                "check": args.check, "n_max": args.n_max, "order": args.order, "tol": args.tol,
             },
-            "provenance": {"grammar_sha256": grammars, "cap": args.cap},
+            "provenance": {"grammar_sha256": grammars},
             "checks": [report.to_dict() for report in reports],
             "passed": passed == len(reports),
         }

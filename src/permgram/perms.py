@@ -32,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import lt
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .algebra import LaurentPoly
 
@@ -41,9 +41,11 @@ Perm = tuple[int, ...]
 #: The variable set the weight monomials live over (matches grammar ``G``).
 WEIGHT_VARS = ("x", "y", "z", "w", "u", "v")
 
-#: Largest n that ``permutations`` walks by default (9! permutations take
-#: seconds).  The statistic oracle is polynomial time and takes no cap.
-DEFAULT_CAP = 9
+#: Largest n a brute-force walk over S_n accepts: ``permutations`` and the
+#: checks that walk S_0..S_n themselves (9! permutations take seconds, and
+#: each step up multiplies that by n).  The statistic oracle is polynomial
+#: time and has no cap.
+WALK_CAP = 9
 
 
 class EnumerationCapError(ValueError):
@@ -71,17 +73,15 @@ def check_permutation(values: Sequence[int]) -> Perm:
     return perm
 
 
-def _require_cap(n: int, cap: int) -> None:
+def _require_cap(n: int) -> None:
     """The one enforcement of the enumeration cap."""
-    if n > cap:
-        raise EnumerationCapError(
-            f"n={n} exceeds the enumeration cap {cap}; raise the cap explicitly "
-            "to spend the runtime")
+    if n > WALK_CAP:
+        raise EnumerationCapError(f"n={n} exceeds the enumeration cap {WALK_CAP}")
 
 
-def permutations(n: int, cap: int = DEFAULT_CAP) -> Iterator[Perm]:
-    """Every permutation of 1..n; n above ``cap`` raises EnumerationCapError."""
-    _require_cap(n, cap)
+def permutations(n: int) -> Iterator[Perm]:
+    """Every permutation of 1..n; n above ``WALK_CAP`` raises EnumerationCapError."""
+    _require_cap(n)
     return itertools.permutations(range(1, n + 1))
 
 
@@ -134,8 +134,9 @@ class Labeling:
     weight: LaurentPoly
 
 
-def _weight_from_labels(labels: Sequence[str]) -> LaurentPoly:
-    return LaurentPoly.monomial(WEIGHT_VARS, {name: labels.count(name) for name in WEIGHT_VARS})
+def _weight(exponents: Iterable[int]) -> LaurentPoly:
+    """The monomial over ``WEIGHT_VARS`` with these exponents, in that order."""
+    return LaurentPoly(WEIGHT_VARS, {tuple(2 * e for e in exponents): 1})
 
 
 def _assign(labels: list[str | None], pos: int, label: str) -> None:
@@ -169,7 +170,7 @@ def label_exterior(perm: Sequence[int]) -> Labeling:
         if perm[i - 2] > perm[i - 1] > perm[i]:
             _assign(labels, i, "y")
     filled = tuple(label if label is not None else "w" for label in labels)
-    return Labeling(filled, _weight_from_labels(filled))
+    return Labeling(filled, _weight(map(filled.count, WEIGHT_VARS)))
 
 
 def label_peak(perm: Sequence[int]) -> Labeling:
@@ -204,7 +205,7 @@ def label_peak(perm: Sequence[int]) -> Labeling:
     if any(label is None for label in labels):
         raise AssertionError(f"peak labeling left a position unlabeled for {perm}")
     filled = tuple(labels)  # type: ignore[arg-type]
-    return Labeling(filled, _weight_from_labels(filled))
+    return Labeling(filled, _weight(map(filled.count, WEIGHT_VARS)))
 
 
 def _exterior_w(s: StatVector, n: int) -> int:
@@ -213,21 +214,17 @@ def _exterior_w(s: StatVector, n: int) -> int:
 
 
 def exterior_weight(perm: Sequence[int]) -> LaurentPoly:
-    """Weight monomial of the exterior scheme, straight from the statistics."""
-    s = stats(perm)
-    n = len(tuple(perm))
-    return LaurentPoly.monomial(WEIGHT_VARS, {
-        "x": s.ep1, "v": s.ep1, "u": s.ep2, "z": s.ep2 + 1,
-        "y": s.pdd, "w": _exterior_w(s, n),
-    })
+    """Weight monomial of the exterior scheme: the P row of the distribution
+    table, straight from the statistics."""
+    perm = tuple(perm)
+    return _weight(_DISTRIBUTIONS["P"].exponents(stats(perm), len(perm)))
 
 
 def peak_weight(perm: Sequence[int]) -> LaurentPoly:
-    """Weight monomial of the peak scheme, straight from the statistics."""
-    s = stats(perm)
-    return LaurentPoly.monomial(WEIGHT_VARS, {
-        "x": s.p1, "v": s.p1, "u": s.p2, "z": s.p2, "y": s.dd, "w": s.dr,
-    })
+    """Weight monomial of the peak scheme: the Q row of the distribution
+    table, straight from the statistics."""
+    perm = tuple(perm)
+    return _weight(_DISTRIBUTIONS["Q"].exponents(stats(perm), len(perm)))
 
 
 # -- insertion and consecutive patterns --------------------------------------
@@ -263,10 +260,10 @@ def consecutive_count(perm: Sequence[int], pattern: Sequence[int]) -> int:
                for ranked in zip(*(perm[k:last + k] for k in order)))
 
 
-def involution_count(n: int, cap: int = DEFAULT_CAP) -> int:
+def involution_count(n: int) -> int:
     """Number of self-inverse permutations of [n], by direct check."""
     count = 0
-    for perm in permutations(n, cap):
+    for perm in permutations(n):
         if all(perm[perm[i] - 1] == i + 1 for i in range(n)):
             count += 1
     return count

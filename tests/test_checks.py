@@ -59,7 +59,7 @@ def test_reports_are_deterministic():
 
 def _blank_report() -> Report:
     """A report as a runner receives it: passed, nothing checked."""
-    report = Report(CheckSpec("demo", "numeric", None, None, 1e-10, 9))
+    report = Report(CheckSpec("demo", "numeric", None, None, 1e-10))
     assert report.passed and report.checked == 0 and report.counterexample is None
     return report
 
@@ -150,7 +150,7 @@ def test_run_many_preserves_registry_order():
 
 
 def test_runner_error_fails_only_its_check():
-    walk, pcf = run_many(["stats-id", "pcf-closed"], cap=5)
+    walk, pcf = run_many(["stats-id", "pcf-closed"], n_max=10)
     assert not walk.passed
     assert walk.counterexample.startswith("EnumerationCapError: ")
     assert pcf.passed
@@ -172,30 +172,20 @@ def test_a_check_that_compares_nothing_fails():
 
 
 @pytest.mark.parametrize("check_id", ["insertion", "stats-id", "involutions"])
-def test_brute_force_checks_respect_the_cap(check_id):
-    # each of these walks S_n itself instead of asking stat_counts
-    report = run_check(check_id, cap=5)
-    assert not report.passed
-    assert report.counterexample.startswith(
-        "EnumerationCapError: n=6 exceeds the enumeration cap 5")
-
-
-@pytest.mark.parametrize("check_id", ["insertion", "stats-id", "involutions"])
 def test_brute_force_checks_refuse_before_walking(check_id, monkeypatch):
     # n_max above the cap is known from the arguments: no S_n is walked first
     walked = []
 
-    def recording(n, cap=perms.DEFAULT_CAP):
+    def recording(n):
         walked.append(n)
-        return real(n, cap)
+        return real(n)
 
     real = perms.permutations
     monkeypatch.setattr(perms, "permutations", recording)
     monkeypatch.setattr(checks, "permutations", recording)
     report = run_check(check_id, n_max=12)
     assert not report.passed and report.checked == 0
-    assert report.counterexample.startswith(
-        "EnumerationCapError: n=10 exceeds the enumeration cap 9")
+    assert report.counterexample == "EnumerationCapError: n=12 exceeds the enumeration cap 9"
     assert walked == []
     # refusing changes only the walk: the report names the grammars a walking run names
     assert report.provenance == run_check(check_id, n_max=1).provenance

@@ -75,10 +75,18 @@ def test_verify_single_check(capsys):
     assert out.startswith("PASS") and "1 checks run, 1 passed" in out
 
 
-@pytest.mark.parametrize("flag", ["--n-max", "--order", "--cap"])
+@pytest.mark.parametrize("flag", ["--n-max", "--order"])
 def test_verify_rejects_negative_bounds(flag, capsys):
     assert main(["verify", "thm-P", flag, "-1"]) == 2
     assert f"{flag} must be nonnegative" in capsys.readouterr().err
+
+
+def test_verify_has_no_cap(capsys):
+    # the enumeration cap is the constant perms.WALK_CAP; nothing can raise it
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "insertion", "--cap", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
@@ -146,15 +154,16 @@ def test_verify_json_report(tmp_path, capsys):
     assert document["checks"][0]["id"] == "g1-eulerian"
     grammars = {"g1": builtin_hash("g1")}
     assert document["checks"][0]["provenance"]["grammar_sha256"] == grammars
-    assert document["provenance"] == {"grammar_sha256": grammars, "cap": 9}
+    assert document["provenance"] == {"grammar_sha256": grammars}
 
 
 def test_verify_runner_error_is_a_failed_report(tmp_path, capsys):
     report_path = tmp_path / "report.json"
-    assert main(["verify", "insertion", "--cap", "5", "--json", str(report_path)]) == 1
+    assert main(["verify", "insertion", "--n-max", "10", "--json", str(report_path)]) == 1
     document = json.loads(report_path.read_text())
     assert document["passed"] is False
-    assert document["checks"][0]["counterexample"].startswith("EnumerationCapError: n=6")
+    assert document["checks"][0]["counterexample"] == (
+        "EnumerationCapError: n=10 exceeds the enumeration cap 9")
 
 
 def test_verify_json_report_is_strict_json_with_a_nan_residual(tmp_path, capsys, monkeypatch):

@@ -15,7 +15,7 @@ from permgram import perms as perms_module
 from permgram.algebra import LaurentPoly, parse_poly
 from permgram.checks import run_check
 from permgram.grammar import builtin, gen_coeffs
-from permgram.perms import (DEFAULT_CAP, EnumerationCapError, consecutive_count,
+from permgram.perms import (WALK_CAP, EnumerationCapError, consecutive_count,
                             enumerate_poly, insertion_children, involution_count,
                             label_exterior, label_peak, peak_weight, permutations,
                             exterior_weight, specialized_poly, stat_counts, stats,
@@ -205,6 +205,38 @@ def test_one_pass_definitions_match_the_references(perm):
     assert_matches_the_definitions(tuple(perm))
 
 
+# ``exterior_weight`` and ``peak_weight`` as they were before they read the
+# P and Q rows of the distribution table: name-keyed monomials.
+WEIGHT_VARS = perms_module.WEIGHT_VARS
+_exterior_w = perms_module._exterior_w
+
+
+def reference_exterior_weight(perm: Sequence[int]) -> LaurentPoly:
+    """Weight monomial of the exterior scheme, straight from the statistics."""
+    s = stats(perm)
+    n = len(tuple(perm))
+    return LaurentPoly.monomial(WEIGHT_VARS, {
+        "x": s.ep1, "v": s.ep1, "u": s.ep2, "z": s.ep2 + 1,
+        "y": s.pdd, "w": _exterior_w(s, n),
+    })
+
+
+def reference_peak_weight(perm: Sequence[int]) -> LaurentPoly:
+    """Weight monomial of the peak scheme, straight from the statistics."""
+    s = stats(perm)
+    return LaurentPoly.monomial(WEIGHT_VARS, {
+        "x": s.p1, "v": s.p1, "u": s.p2, "z": s.p2, "y": s.dd, "w": s.dr,
+    })
+
+
+def test_table_weights_match_the_name_keyed_references():
+    for n in range(8):
+        for perm in permutations(n):
+            assert exterior_weight(perm) == reference_exterior_weight(perm), perm
+            if n >= 1:
+                assert peak_weight(perm) == reference_peak_weight(perm), perm
+
+
 def test_label_weights_match_counter_built_monomials():
     for n in range(7):
         for perm in permutations(n):
@@ -307,14 +339,13 @@ def test_triangles():
 
 
 def test_enumeration_cap():
+    with pytest.raises(EnumerationCapError, match=f"n={WALK_CAP + 1} exceeds the enumeration cap 9$"):
+        permutations(WALK_CAP + 1)
     with pytest.raises(EnumerationCapError):
-        permutations(6, cap=5)
-    with pytest.raises(EnumerationCapError):
-        involution_count(6, cap=5)
-    # raising the cap explicitly is allowed (kept tiny here)
-    assert involution_count(4, cap=4) == 10
+        involution_count(WALK_CAP + 1)
+    assert involution_count(4) == 10
     # the cap bounds only the brute-force walks, never the oracle
-    assert sum(stat_counts(DEFAULT_CAP + 1).values()) == math.factorial(DEFAULT_CAP + 1)
+    assert sum(stat_counts(WALK_CAP + 1).values()) == math.factorial(WALK_CAP + 1)
 
 
 def test_oracle_matches_the_sweep(monkeypatch):
