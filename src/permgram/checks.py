@@ -43,8 +43,7 @@ from . import perms, series, specialfn
 from .algebra import LaurentPoly, monomial_str
 from .grammar import Grammar, builtin, builtin_hash, flow_series, gen_coeffs, gen_product
 from .perms import (WEIGHT_VARS, enumerate_poly, involution_count,
-                    label_exterior, label_peak, peak_weight, permutations,
-                    specialized_poly, stats)
+                    label_exterior, label_peak, permutations, specialized_poly, stats)
 from .series import Series
 
 F = Fraction
@@ -376,7 +375,8 @@ def _run_stats_id(spec: CheckSpec, rec: Report) -> None:
             if n >= 1:
                 rec.equal(s.p1 + s.p2, s.valleys + 1, f"peak/valley balance at {perm}")
                 labeling = label_peak(perm)  # raises if a position is unlabeled
-                rec.poly_equal(labeling.weight, peak_weight(perm),
+                rec.poly_equal(labeling.weight,
+                               perms._weight(perms._DISTRIBUTIONS["Q"].exponents(s, n)),
                                f"peak labeling weight at {perm}")
     rec.note(f"consecutive-pattern, peak/valley, and labeling identities hold for n <= {spec.n_max}")
 

@@ -28,7 +28,6 @@ where noted):
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from operator import lt
 from types import MappingProxyType
@@ -81,6 +80,8 @@ def _require_cap(n: int) -> None:
 
 def permutations(n: int) -> Iterator[Perm]:
     """Every permutation of 1..n; n above ``WALK_CAP`` raises EnumerationCapError."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     _require_cap(n)
     return itertools.permutations(range(1, n + 1))
 
@@ -213,20 +214,6 @@ def _exterior_w(s: StatVector, n: int) -> int:
     return n - 2 * (s.ep1 + s.ep2) - s.pdd
 
 
-def exterior_weight(perm: Sequence[int]) -> LaurentPoly:
-    """Weight monomial of the exterior scheme: the P row of the distribution
-    table, straight from the statistics."""
-    perm = tuple(perm)
-    return _weight(_DISTRIBUTIONS["P"].exponents(stats(perm), len(perm)))
-
-
-def peak_weight(perm: Sequence[int]) -> LaurentPoly:
-    """Weight monomial of the peak scheme: the Q row of the distribution
-    table, straight from the statistics."""
-    perm = tuple(perm)
-    return _weight(_DISTRIBUTIONS["Q"].exponents(stats(perm), len(perm)))
-
-
 # -- insertion and consecutive patterns --------------------------------------
 
 
@@ -288,14 +275,6 @@ _EP1, _EP2, _PDD, _P1, _P2, _DD, _DR, _VALLEY, _DES, _BREAK = (
     1 << (_FIELD * i) for i in range(10))
 
 _STAT_COUNTS: dict[int, dict[StatVector, int]] = {}
-
-
-def _sweep(n: int) -> Counter:
-    """The distribution by definition: ``stats`` of every permutation of [n]."""
-    counts: Counter = Counter()
-    for perm in itertools.permutations(range(1, n + 1)):
-        counts[stats(perm)] += 1
-    return counts
 
 
 def _triple(falling: bool, left_above_right: bool, descent: bool, i: int) -> int:

@@ -11,7 +11,8 @@ from permgram.algebra import parse_poly
 from permgram.checks import (EN_ROOTS, REGISTRY, X_GRID, CheckSpec, Report, UnknownCheckError,
                              _gen_num_trials, check_ids, en_roots, run_check, run_many,
                              x_grid, y_grid)
-from permgram.grammar import builtin, builtin_hash, flow_series, gen_coeffs
+from permgram.grammar import (builtin, builtin_hash, builtin_source, flow_series, gen_coeffs,
+                              parse_grammar)
 
 EXPECTED_IDS = {
     "thm-P", "thm-Q", "w-cor", "insertion", "conv", "ode", "gen-x1z", "quotient",
@@ -292,6 +293,61 @@ def test_sampled_check_can_fail(check_id, monkeypatch):
     report = run_check(check_id, n_max=5, order=5)
     assert not report.passed
     assert "coefficient of t^" in report.counterexample
+
+
+def _edited_g(name):
+    """Built-in grammars, with G's rule y -> z*u edited to y -> x*v."""
+    if name != "G":
+        return builtin(name)
+    return parse_grammar(builtin_source("G").replace("rule y -> z*u", "rule y -> x*v"), name="G")
+
+
+def _swapped_q(monkeypatch):
+    row = perms._DISTRIBUTIONS["Q"]
+
+    def swapped(s, n):  # the Q row with its x and u exponents swapped
+        x, y, z, w, u, v = row.exponents(s, n)
+        return u, y, z, w, x, v
+
+    monkeypatch.setitem(perms._DISTRIBUTIONS, "Q", row._replace(exponents=swapped))
+
+
+def _involutions_off_at_3(monkeypatch):
+    count = checks.involution_count
+    monkeypatch.setattr(checks, "involution_count", lambda n: count(n) + (n == 3))
+
+
+# One wrong ingredient for each brute-force walk, and the failure it must report.
+WALK_MUTANTS = {
+    "insertion": (lambda mp: mp.setattr(checks, "builtin", _edited_g),
+                  "insertion step at (3, 2, 1)"),
+    "stats-id": (_swapped_q, "peak labeling weight at (1,)"),
+    "involutions": (_involutions_off_at_3, "involution count, coefficient of t^3"),
+}
+
+
+@pytest.mark.parametrize("check_id", list(WALK_MUTANTS))
+def test_walk_can_fail(check_id, monkeypatch):
+    mutate, failure = WALK_MUTANTS[check_id]
+    assert run_check(check_id, n_max=4).passed
+    mutate(monkeypatch)
+    report = run_check(check_id, n_max=4)
+    assert not report.passed
+    assert report.counterexample.startswith(failure + ":"), report.counterexample
+
+
+def test_stats_id_computes_each_statistic_vector_once(monkeypatch):
+    calls = []
+
+    def counting(perm):
+        calls.append(perm)
+        return real(perm)
+
+    real = perms.stats
+    monkeypatch.setattr(perms, "stats", counting)
+    monkeypatch.setattr(checks, "stats", counting)
+    assert run_check("stats-id", n_max=4).passed
+    assert len(calls) == sum(math.factorial(n) for n in range(5)) == 34
 
 
 def test_run_many_parallel():

@@ -17,8 +17,8 @@ from permgram.checks import run_check
 from permgram.grammar import builtin, gen_coeffs
 from permgram.perms import (WALK_CAP, EnumerationCapError, consecutive_count,
                             enumerate_poly, insertion_children, involution_count,
-                            label_exterior, label_peak, peak_weight, permutations,
-                            exterior_weight, specialized_poly, stat_counts, stats,
+                            label_exterior, label_peak, permutations,
+                            specialized_poly, stat_counts, stats,
                             triangle, check_permutation, Perm, StatVector)
 
 VARS = ("x", "y", "z", "w", "u", "v")
@@ -78,16 +78,16 @@ def test_label_peak_small_cases():
 def test_labelings_consistent_with_weight_formulas():
     for n in range(7):
         for perm in permutations(n):
-            assert label_exterior(perm).weight == exterior_weight(perm)
+            assert label_exterior(perm).weight == reference_exterior_weight(perm)
             if n >= 1:
-                assert label_peak(perm).weight == peak_weight(perm)
+                assert label_peak(perm).weight == reference_peak_weight(perm)
 
 
 def test_labeling_totality_and_consistency_n8():
     # the peak labeling assigns every position exactly one label and its
     # product matches the weight formula on all of S_8
     for perm in permutations(8):
-        assert label_peak(perm).weight == peak_weight(perm)
+        assert label_peak(perm).weight == reference_peak_weight(perm)
 
 
 def test_insertion_children():
@@ -205,8 +205,8 @@ def test_one_pass_definitions_match_the_references(perm):
     assert_matches_the_definitions(tuple(perm))
 
 
-# ``exterior_weight`` and ``peak_weight`` as they were before they read the
-# P and Q rows of the distribution table: name-keyed monomials.
+# The weight monomials of the two schemes, keyed by variable name rather than
+# read from the P and Q rows of the distribution table.
 WEIGHT_VARS = perms_module.WEIGHT_VARS
 _exterior_w = perms_module._exterior_w
 
@@ -229,12 +229,16 @@ def reference_peak_weight(perm: Sequence[int]) -> LaurentPoly:
     })
 
 
+def table_weight(row: str, perm: Perm) -> LaurentPoly:
+    return perms_module._weight(perms_module._DISTRIBUTIONS[row].exponents(stats(perm), len(perm)))
+
+
 def test_table_weights_match_the_name_keyed_references():
     for n in range(8):
         for perm in permutations(n):
-            assert exterior_weight(perm) == reference_exterior_weight(perm), perm
+            assert table_weight("P", perm) == reference_exterior_weight(perm), perm
             if n >= 1:
-                assert peak_weight(perm) == reference_peak_weight(perm), perm
+                assert table_weight("Q", perm) == reference_peak_weight(perm), perm
 
 
 def test_label_weights_match_counter_built_monomials():
@@ -348,11 +352,26 @@ def test_enumeration_cap():
     assert sum(stat_counts(WALK_CAP + 1).values()) == math.factorial(WALK_CAP + 1)
 
 
+def test_walks_reject_a_negative_n():
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        permutations(-1)
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        involution_count(-5)
+
+
+def reference_sweep(n: int) -> Counter:
+    """The distribution by definition: ``stats`` of every permutation of [n]."""
+    counts: Counter = Counter()
+    for perm in itertools.permutations(range(1, n + 1)):
+        counts[stats(perm)] += 1
+    return counts
+
+
 def test_oracle_matches_the_sweep(monkeypatch):
     # the rank-transfer oracle against the brute-force definition, from a cold cache
     monkeypatch.setattr(perms_module, "_STAT_COUNTS", {})
     for n in range(9):
-        assert stat_counts(n) == perms_module._sweep(n), n
+        assert stat_counts(n) == reference_sweep(n), n
 
 
 def test_stat_counts_is_a_read_only_view():
@@ -361,7 +380,7 @@ def test_stat_counts_is_a_read_only_view():
         counts[stats((1, 2, 3, 4))] = 0
     with pytest.raises(TypeError):
         del counts[stats((1, 2, 3, 4))]
-    assert counts == perms_module._sweep(4)
+    assert counts == reference_sweep(4)
 
 
 def test_oracle_beyond_the_sweep():
