@@ -2,11 +2,14 @@
 cylinder function, plus the two main closed forms that cannot be checked
 exactly because their constants involve Gamma values.
 
-The cylinder function D_a(z) is evaluated from its defining combination of
-two 1F1 series with reciprocal-Gamma prefactors.  The reciprocal form
-matters: when (1-a)/2 or -a/2 sits at a pole of Gamma the corresponding
-term's prefactor is exactly zero, which is how the reduced closed forms
-for integer orders fall out without special-casing.
+The cylinder function D_a(z) and its first two derivatives come from one
+power series, whose coefficients follow from Weber's equation and start
+from reciprocal-Gamma values.  The reciprocal form matters: when (1-a)/2
+or -a/2 sits at a pole of Gamma that parity's coefficients are exactly
+zero, which is how the reduced closed forms for integer orders fall out
+without special-casing.  Where the series cancels so far that rounding
+could exceed the tolerance (large positive z), it raises ConvergenceError
+instead of returning a drifted value.
 
 Arguments may be complex: the closed forms pair D_a at a real point with
 D_a at an imaginary one (one of the two square roots sqrt(xv-zu),
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from typing import Mapping, Union
 
 Real = Union[int, float]
@@ -75,63 +79,51 @@ def hyp1f1(a: Real, b: Real, z: ComplexLike) -> complex:
 
 
 def pcf_d(a: Real, z: ComplexLike) -> complex:
-    """Weber parabolic cylinder function D_a(z) from its defining formula."""
-    zz = complex(z)
-    half = zz * zz / 2
-    pref = 2 ** (a / 2) * _SQRT_PI * cmath.exp(-zz * zz / 4)
-    term1 = rgamma((1 - a) / 2) * hyp1f1(-a / 2, 0.5, half)
-    term2 = _SQRT_2 * zz * rgamma(-a / 2) * hyp1f1((1 - a) / 2, 1.5, half)
-    return pref * (term1 - term2)
+    """Weber parabolic cylinder function D_a(z): the value of pcf_d_derivs."""
+    return pcf_d_derivs(a, z)[0]
 
 
 def pcf_d_derivs(a: Real, z: ComplexLike) -> tuple[complex, complex, complex]:
-    """(D_a, D_a', D_a'') at z, with the derivatives taken term by term on
-    the defining series (independent of the ladder recurrences, so the
-    recurrences can be tested against this).
+    """(D_a, D_a', D_a'') at z from one power series (DLMF 12.2, 12.4).
 
-    Writing D_a = C e^{-z^2/4} u(z) with u = rg((1-a)/2) F - rg(-a/2) G,
-    F even and G odd power series, the derivatives are
+    Writing D_a = C e^{-z^2/4} u(z) with C = 2^{a/2} sqrt(pi), u solves
+    u'' - z u' + a u = 0, so u = sum c_k z^k with c_{k+2} = (k - a) c_k /
+    ((k+1)(k+2)), c_0 = rg((1-a)/2) and c_1 = -sqrt2 rg(-a/2).  u, u' and
+    u'' are summed term by term, and then
     D' = C e^{-z^2/4} (u' - z u / 2) and
     D'' = C e^{-z^2/4} (u'' - z u' + (z^2/4 - 1/2) u).
+
+    Raises ConvergenceError when cancellation costs the value its
+    precision: rounding in the sum is about eps * sum |c_k z^k|, and once
+    that, times |C e^{-z^2/4}|, exceeds TOLERANCE * max(1, |D_a|) the
+    value would drift without notice (a = -1 from z = 5.5 on, for one).
     """
     zz = complex(z)
     z2 = zz * zz
-    c_f = rgamma((1 - a) / 2)
-    c_g = _SQRT_2 * rgamma(-a / 2)
+    c_k, c_next = rgamma((1 - a) / 2), -_SQRT_2 * rgamma(-a / 2)
     u = u1 = u2 = complex(0.0)
-    # F term n: poch(-a/2, n) / (poch(1/2, n) n! 2^n) z^{2n}
-    # G term n: sqrt2 * poch((1-a)/2, n) / (poch(3/2, n) n! 2^n) z^{2n+1}
-    cf = 1.0
-    cg = 1.0
-    pow_2n = complex(1.0)          # z^{2n}
-    pow_2n_m1 = pow_2n_m2 = complex(0.0)
-    converged = False
-    for n in range(MAX_TERMS):
-        f_coef = c_f * cf
-        g_coef = c_g * cg
-        pieces = [f_coef * pow_2n, -g_coef * pow_2n * zz]
-        u += pieces[0] + pieces[1]
-        d1_f = f_coef * (2 * n) * pow_2n_m1
-        d1_g = -g_coef * (2 * n + 1) * pow_2n
-        u1 += d1_f + d1_g
-        pieces += [d1_f, d1_g]
-        if n >= 1:
-            d2_f = f_coef * (2 * n) * (2 * n - 1) * pow_2n_m2
-            d2_g = -g_coef * (2 * n + 1) * (2 * n) * pow_2n_m1
-            u2 += d2_f + d2_g
-            pieces += [d2_f, d2_g]
-        if n > 3 and sum(abs(piece) for piece in pieces) < TOLERANCE / 10:
-            converged = True
+    mass = 0.0
+    power = complex(1.0)           # z^k
+    for k in range(MAX_TERMS):
+        c_after = (k - a) * c_k / ((k + 1) * (k + 2))
+        term0 = c_k * power
+        term1 = (k + 1) * c_next * power
+        term2 = (k + 1) * (k + 2) * c_after * power
+        u += term0
+        u1 += term1
+        u2 += term2
+        size = abs(term0)
+        mass += size
+        if k > 3 and size + abs(term1) + abs(term2) < TOLERANCE / 10:
             break
-        cf = cf * (-a / 2 + n) / ((0.5 + n) * (n + 1) * 2)
-        cg = cg * ((1 - a) / 2 + n) / ((1.5 + n) * (n + 1) * 2)
-        pow_2n_m2 = pow_2n
-        pow_2n_m1 = pow_2n * zz
-        pow_2n = pow_2n * z2
-    if not converged:
+        c_k, c_next = c_next, c_after
+        power *= zz
+    else:
         raise ConvergenceError("cylinder-function series did not converge")
     pref = 2 ** (a / 2) * _SQRT_PI * cmath.exp(-z2 / 4)
     d0 = pref * u
+    if sys.float_info.epsilon * mass * abs(pref) > TOLERANCE * max(1.0, abs(d0)):
+        raise ConvergenceError(f"D_{a}({z}) loses its precision to cancellation")
     d1 = pref * (u1 - zz * u / 2)
     d2 = pref * (u2 - zz * u1 + (z2 / 4 - 0.5) * u)
     return d0, d1, d2
@@ -164,13 +156,14 @@ def _pcf_pieces(params: Mapping[str, Real], t: float):
     arg_hat = dhat * t + (y - w) / dhat
     coef_a = dhat * s - q * y
     coef_b = p * w - delta * r
-    denominator = coef_a * pcf_d(a_del, arg_del) + coef_b * pcf_d(a_hat, arg_hat)
+    d_del = pcf_d(a_del, arg_del)
+    d_hat = pcf_d(a_hat, arg_hat)
     return {
         "x": x, "y": y, "z": z, "w": w, "u": u, "v": v, "d2": d2,
         "delta": delta, "dhat": dhat, "a_del": a_del, "a_hat": a_hat,
         "p": p, "q": q, "r": r, "s": s,
-        "arg_del": arg_del, "arg_hat": arg_hat,
-        "coef_a": coef_a, "coef_b": coef_b, "denominator": denominator,
+        "arg_del": arg_del, "arg_hat": arg_hat, "d_del": d_del, "d_hat": d_hat,
+        "coef_a": coef_a, "coef_b": coef_b, "denominator": coef_a * d_del + coef_b * d_hat,
     }
 
 
@@ -188,7 +181,7 @@ def gen_q_value(params: Mapping[str, Real], t: float) -> float:
     """Closed form of the peak-scheme generating function at (params, t)."""
     g = _pcf_pieces(params, t)
     w, y = g["w"], g["y"]
-    first = (g["d2"] * t + w - y) * g["coef_b"] * pcf_d(g["a_hat"], g["arg_hat"])
+    first = (g["d2"] * t + w - y) * g["coef_b"] * g["d_hat"]
     second = (g["coef_a"] * g["delta"] * pcf_d((g["x"] * g["v"] - y * w) / g["d2"], g["arg_del"])
               + g["coef_b"] * g["dhat"] * pcf_d((g["z"] * g["u"] - y * w) / (-g["d2"]), g["arg_hat"]))
     return _require_real((first + second) / g["denominator"])

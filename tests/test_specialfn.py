@@ -8,8 +8,20 @@ import math
 import pytest
 
 from permgram.grammar import builtin, gen_coeffs
-from permgram.specialfn import (ConvergenceError, gen_p_value, gen_q_value, hyp1f1, pcf_d,
-                                pcf_d_derivs, rgamma)
+from permgram.specialfn import (TOLERANCE, ConvergenceError, gen_p_value, gen_q_value, hyp1f1,
+                                pcf_d, pcf_d_derivs, rgamma)
+
+
+def reference_pcf_d(a, z):
+    """D_a(z) from its defining pair of 1F1 series with reciprocal-Gamma
+    prefactors: a second route to the value, sharing only rgamma with the
+    Weber-equation series in pcf_d."""
+    zz = complex(z)
+    half = zz * zz / 2
+    pref = 2 ** (a / 2) * math.sqrt(math.pi) * cmath.exp(-zz * zz / 4)
+    term1 = rgamma((1 - a) / 2) * hyp1f1(-a / 2, 0.5, half)
+    term2 = math.sqrt(2) * zz * rgamma(-a / 2) * hyp1f1((1 - a) / 2, 1.5, half)
+    return pref * (term1 - term2)
 
 
 def test_gamma_and_rgamma():
@@ -54,7 +66,7 @@ def test_pcf_derivs_match_recurrences():
     for a in (-1.5, -0.5, 0.0, 1.0):
         for z in (-2.0, -0.3, 0.0, 0.9, 2.0):
             d0, d1, d2 = pcf_d_derivs(a, z)
-            assert abs(d0 - pcf_d(a, z)) < 1e-13
+            assert abs(d0 - reference_pcf_d(a, z)) < 1e-13
             assert abs(d1 - (z / 2 * d0 - pcf_d(a + 1, z))) < 1e-10
             assert abs(d1 - (a * pcf_d(a - 1, z) - z / 2 * d0)) < 1e-10
             assert abs(d2 - (z * z / 4 - a - 0.5) * d0) < 1e-10
@@ -62,13 +74,12 @@ def test_pcf_derivs_match_recurrences():
 
 def test_pcf_imaginary_argument():
     # at a pure imaginary argument the function splits into a real even part
-    # and an imaginary odd part; check against the defining formula directly
-    a, xi = 0.7, 1.1
-    value = pcf_d(a, complex(0, xi))
-    pref = 2 ** (a / 2) * math.sqrt(math.pi) * cmath.exp(xi * xi / 4)
-    term1 = rgamma((1 - a) / 2) * hyp1f1(-a / 2, 0.5, -xi * xi / 2)
-    term2 = math.sqrt(2) * complex(0, xi) * rgamma(-a / 2) * hyp1f1((1 - a) / 2, 1.5, -xi * xi / 2)
-    assert abs(value - pref * (term1 - term2)) < 1e-12
+    # and an imaginary odd part; check it, and real arguments, against the
+    # defining formula, also at orders where one prefactor vanishes
+    for a in (-1.5, -1, -0.5, 0, 0.7, 1, 2):
+        for z in (-2.0, -0.6, 0.0, 1.3, 2.5, 1.1j, -0.4j, 2.2j):
+            want = reference_pcf_d(a, z)
+            assert abs(pcf_d(a, z) - want) < 1e-12 * max(1.0, abs(want)), (a, z)
 
 
 SAMPLE = {"x": 1.25, "y": 0.75, "z": 1.5, "w": 1.0, "u": 0.5, "v": 1.75}  # xv - zu = 1.4375
@@ -111,7 +122,7 @@ def test_gen_q_is_log_derivative_of_gen_p():
     assert abs(gen_q_value(SAMPLE, float(t)) - float(num / den)) < 1e-9
 
 
-# -- against mpmath: the accurate region, and the drift ROADMAP item 2 records ---------
+# -- against mpmath: the accurate region, and the guard where the series cancels ------
 
 MP_A = (-1, -0.5, 0, 0.5, 1, 1.5)
 MP_Z = (-3.5, -2.25, -1.0, -0.3, 0.0, 0.4, 1.25, 2.5, 3.5)
@@ -145,16 +156,29 @@ def test_hyp1f1_matches_mpmath_on_the_pcf_arguments():
                     assert _rel_err(hyp1f1(*args), mpmath.hyp1f1(*args)) <= MP_TOL, args
 
 
-DRIFT = pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="ROADMAP item 2: pcf_d sums two cancelling 1F1 series and drifts without an error")
-
-
-@pytest.mark.parametrize("a,z", [pytest.param(-1, 8.0, marks=DRIFT),
-                                 pytest.param(-0.5, 8.0, marks=DRIFT)])
+@pytest.mark.parametrize("a,z", [(-1, 8.0), (-0.5, 8.0)])
 def test_pcf_d_known_drift_at_large_z(a, z):
-    # relative error 0.75 (a = -1) and 2.7e-2 (a = -1/2); these start failing
-    # once pcf_d either matches mpmath here or raises
+    # the 1F1 pair of the defining formula drifts here to relative errors
+    # of 0.75 (a = -1) and 2.7e-2 (a = -1/2); the series notices and raises
+    with pytest.raises(ConvergenceError):
+        pcf_d(a, z)
+    with pytest.raises(ConvergenceError):
+        pcf_d_derivs(a, z)
+
+
+GUARD_Z = [k / 2 for k in range(-17, 18)]  # -8.5 .. 8.5
+
+
+@pytest.mark.parametrize("a", MP_A)
+def test_pcf_d_is_within_tolerance_or_raises(a):
+    # the guard's promise: an error of at most TOLERANCE * max(1, |D_a|), or
+    # ConvergenceError; the worst error on this grid is 0.3 of that bound
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
-        assert _rel_err(pcf_d(a, z), mpmath.pcfd(a, z)) <= MP_TOL
+        for z in GUARD_Z:
+            want = complex(mpmath.pcfd(a, z))
+            try:
+                got = pcf_d(a, z)
+            except ConvergenceError:
+                continue
+            assert abs(got - want) <= TOLERANCE * max(1.0, abs(want)), z
