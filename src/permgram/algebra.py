@@ -3,13 +3,14 @@
 A polynomial is a sparse map from exponent vectors to nonzero exact
 coefficients.  Exponents are half-integers stored as doubled integers, so
 ``x^-1/2`` is exact and exponent arithmetic never leaves the integers.
-A coefficient is stored as a plain ``int`` whenever it is integral and as a
-``Fraction`` only when it is not (deriving a half-exponent monomial produces
-factors like -1/2); both go through the same loops by Python's numeric
-tower.  Products and ``evaluate`` work over one common denominator (for a
-product, the lcm of each factor's coefficient denominators): the sums run
-in ints, and each result is divided once, in ``_over``.  A product packs
-each exponent vector into one int, so adding two keys is one int addition.
+Coefficients are stored fraction-free, as in Bareiss's method (Math. Comp.
+22, 1968): int numerators over one positive int denominator shared by the
+whole polynomial, kept reduced so that one ``math.gcd`` per result replaces
+a division per term.  The ring operations, ``substitute`` and ``with_vars``
+sum ints and build no ``Fraction``; ``evaluate`` divides once at the end,
+and the ``terms`` view builds its Fractions on first read.  A product packs
+each exponent vector into one int, so adding two keys is one int addition,
+and unpacks each distinct key of the result once.
 
 Everything here is an immutable value; operations are pure functions and
 safe to share across threads.  Two polynomials built in different term
@@ -20,17 +21,17 @@ orders compare equal, and the text rendering (canonical term order,
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
-from operator import add, attrgetter, getitem, lshift
-from typing import Collection, Iterable, Mapping, Sequence, Union
+from operator import getitem, lshift
+from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
 _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 _NAME_CHARS = _NAME_START | set("0123456789_")
-_denominator = attrgetter("denominator")
-_numerator = attrgetter("numerator")
 
 
 class AlgebraError(ValueError):
@@ -79,8 +80,7 @@ def _as_fraction(value: Scalar) -> Fraction:
 
 
 def _scalar(value: Scalar) -> Scalar:
-    """The stored form of an exact coefficient: an ``int`` when it is integral,
-    else a ``Fraction``."""
+    """An exact coefficient as an ``int`` when it is integral, else a ``Fraction``."""
     if type(value) is int:
         return value
     if isinstance(value, Fraction):
@@ -90,92 +90,142 @@ def _scalar(value: Scalar) -> Scalar:
     raise AlgebraError(f"expected an exact rational, got {value!r}")
 
 
-def _scaled(coeffs: Collection[Scalar]) -> tuple[int, list[int]]:
-    """``(d, integers)``: d is the lcm of the coefficients' denominators and
-    the integers are the coefficients times d, in order.  ``coeffs`` is read
-    twice, so it is a collection (a list, or a term map's ``values()``)."""
-    d = math.lcm(*map(_denominator, coeffs))
-    return d, (list(map(_numerator, coeffs)) if d == 1
-               else [c.numerator * (d // c.denominator) for c in coeffs])
+def _ratio(value: Scalar) -> tuple[int, int]:
+    """An exact rational as (numerator, positive denominator), in lowest terms."""
+    value = _scalar(value)
+    return (value, 1) if type(value) is int else (value.numerator, value.denominator)
 
 
-def _width(a: Iterable[tuple[int, ...]], b: Iterable[tuple[int, ...]]) -> int:
-    """Bits per exponent for packing the keys of products of a term keyed in
-    a with one keyed in b: every exponent of such a product fits in
-    [-2^(w-1), 2^(w-1))."""
-    bound = sum(max(map(abs, chain.from_iterable(keys)), default=0) for keys in (a, b))
-    return bound.bit_length() + 1
+def _raw(vars: tuple[str, ...], den: int, nums: dict) -> "LaurentPoly":
+    """The polynomial stored as given: ``nums`` holds no zero and shares no
+    factor with ``den`` (den is 1 when nums is empty)."""
+    poly = LaurentPoly.__new__(LaurentPoly)
+    poly.vars, poly.den, poly.nums = vars, den, nums
+    return poly
 
 
-def _packed(terms: Mapping[tuple[int, ...], Scalar],
-            width: int) -> tuple[int, list[tuple[int, tuple[int, ...], int]]]:
-    """``(d, packed terms)``: the terms scaled to integers over d (``_scaled``),
-    each as (packed key, key, integer coefficient), the packed key being the
-    exponent vector as one int, sum_i t_i 2^(width i).  Packing is additive:
-    a product term's packed key is the sum of its factors' packed keys."""
-    d, nums = _scaled(terms.values())
-    shifts = range(0, width * len(next(iter(terms), ())), width)
-    return d, [(sum(map(lshift, key, shifts)), key, c) for key, c in zip(terms, nums)]
+def _reduced(vars: tuple[str, ...], den: int, nums: Mapping[tuple[int, ...], int]) -> "LaurentPoly":
+    """The polynomial with coefficients ``num / den`` (den > 0): zeros are
+    dropped and one gcd brings the rest to lowest terms."""
+    g = math.gcd(den, *nums.values())
+    nums = {k: num // g for k, num in nums.items() if num}
+    return _raw(vars, den // g if nums else 1, nums)
 
 
-def _mul_into(out: dict[int, int], keys: dict[int, tuple[int, ...]],
-              a: list[tuple[int, tuple[int, ...], int]],
-              b: list[tuple[int, tuple[int, ...], int]], weight: int) -> dict[int, int]:
+def _bound(keys: Iterable[tuple[int, ...]]) -> int:
+    """The largest |doubled exponent| in these keys (0 when there is none)."""
+    return max(map(abs, chain.from_iterable(keys)), default=0)
+
+
+class _Packing:
+    """Exponent vectors packed into one int: field i holds t_i + 2^(w-2) at
+    bit w i, for w = 8 * size with every |t_i| of a factor < 2^(w-2).
+
+    Packing is additive, so a product's packed key is the sum of its
+    factors' keys, and its field i holds t_i + 2^(w-1) with no carry between
+    fields.  Flipping each field's top bit leaves t_i in two's complement,
+    which ``struct`` reads back in one call per distinct key."""
+
+    __slots__ = ("shifts", "bias", "mask", "nbytes", "unpack")
+
+    def __init__(self, nvars: int, size: int):
+        width = 8 * size
+        self.shifts = range(0, width * nvars, width)
+        self.bias = sum(1 << (s + width - 2) for s in self.shifts)
+        self.mask = 2 * self.bias
+        self.nbytes = size * nvars
+        if size <= 8:
+            self.unpack = struct.Struct(f"<{nvars}{'bhiq'[size.bit_length() - 1]}").unpack
+        else:
+            self.unpack = lambda raw: tuple(int.from_bytes(raw[i:i + size], "little", signed=True)
+                                            for i in range(0, self.nbytes, size))
+
+    def key(self, key: tuple[int, ...]) -> int:
+        """The packed form of one exponent vector."""
+        return sum(map(lshift, key, self.shifts)) + self.bias
+
+    def pack(self, items: Iterable[tuple[tuple[int, ...], int]]) -> list[tuple[int, int]]:
+        """(exponent vector, value) pairs as (packed key, value) pairs."""
+        shifts, bias = self.shifts, self.bias
+        return [(sum(map(lshift, key, shifts)) + bias, num) for key, num in items]
+
+    def over(self, vars: tuple[str, ...], den: int, nums: Mapping[int, int]) -> "LaurentPoly":
+        """``_reduced`` for product terms keyed by packed keys: each distinct
+        key is unpacked once."""
+        unpack, mask, nbytes = self.unpack, self.mask, self.nbytes
+        g = math.gcd(den, *nums.values())
+        out = {unpack((p ^ mask).to_bytes(nbytes, "little")): num // g
+               for p, num in nums.items() if num}
+        return _raw(vars, den // g if out else 1, out)
+
+
+@lru_cache(maxsize=64)
+def _layout(nvars: int, size: int) -> _Packing:
+    return _Packing(nvars, size)
+
+
+def _packing(nvars: int, bound: int) -> _Packing:
+    """The narrowest packing of ``nvars`` exponents whose factors' |t_i| are
+    at most ``bound``; one object per layout, shared by every caller."""
+    size = 1
+    while bound >= 1 << (8 * size - 2):
+        size *= 2
+    return _layout(nvars, size)
+
+
+def _mul_into(out: dict[int, int], a: list[tuple[int, int]], b: list[tuple[int, int]],
+              weight: int) -> dict[int, int]:
     """Add ``weight`` times the product of packed terms a and b to ``out``,
-    keyed by packed exponent vector, and give ``keys`` the exponent vector of
-    each packed key not yet in it.  Return ``out``."""
+    keyed by packed exponent vector.  Return ``out``."""
+    if len(a) > len(b):
+        a, b = b, a
     get = out.get
-    for pa, ka, ca in a:
+    for pa, ca in a:
         wa = weight * ca
-        for pb, kb, cb in b:
+        for pb, cb in b:
             key = pa + pb
             out[key] = get(key, 0) + wa * cb
-            if key not in keys:
-                keys[key] = tuple(map(add, ka, kb))
     return out
-
-
-def _over(vars: tuple[str, ...], nums: Mapping, den: int,
-          keys: Mapping[int, tuple[int, ...]] | None = None) -> "LaurentPoly":
-    """The polynomial with coefficients ``num / den`` (den > 0), the one exit
-    of the kernel's common-denominator loops.  Each coefficient is divided
-    once, to an ``int`` when den divides it and to a reduced ``Fraction``
-    otherwise; zeros are dropped.  With ``keys``, the keys of ``nums`` are
-    packed and ``keys`` maps them to exponent vectors.  The map is stored as
-    built, without the public constructor's second normalization pass."""
-    items = nums.items() if keys is None else ((keys[k], num) for k, num in nums.items())
-    poly = LaurentPoly.__new__(LaurentPoly)
-    poly.vars = vars
-    poly.terms = ({k: num for k, num in items if num} if den == 1 else
-                  {k: num // den if num % den == 0 else Fraction(num, den)
-                   for k, num in items if num})
-    return poly
 
 
 class LaurentPoly:
     """Sparse Laurent polynomial with rational coefficients.
 
-    ``terms`` maps doubled-exponent tuples (one entry per variable) to
-    nonzero coefficients, each an ``int`` when integral and a ``Fraction``
-    otherwise.  The constructor normalizes: zero coefficients are dropped
-    and ``Fraction(k, 1)`` becomes ``k``, so equality is plain
-    coefficient-wise comparison.  ``*`` scales each factor to integers over
-    the lcm of its denominators and divides each product term once.
+    Stored fraction-free: ``nums`` maps doubled-exponent tuples (one entry
+    per variable) to nonzero int numerators over the one positive int
+    ``den``, and ``gcd(den, *nums.values()) == 1``, with ``den == 1`` for the
+    zero polynomial.  This form is canonical, so equality compares ``vars``,
+    ``den`` and ``nums``.
+
+    ``terms`` is the read-only view with rational coefficients: an ``int``
+    where a coefficient is integral and a reduced ``Fraction`` otherwise.
+    It is ``nums`` itself when ``den == 1`` and is built on first read
+    otherwise.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "den", "nums", "_terms")
 
     def __init__(self, vars: Sequence[str], terms: Mapping[tuple[int, ...], Scalar] | None = None):
         self.vars = tuple(vars)
         width = len(self.vars)
         clean: dict[tuple[int, ...], Scalar] = {}
+        den = 1
         for key, coeff in (terms or {}).items():
             if len(key) != width:
                 raise AlgebraError("exponent vector does not match variable set")
-            c = _scalar(coeff)
-            if c:
-                clean[tuple(key)] = c
-        self.terms = clean
+            if type(coeff) is not int:
+                coeff = _scalar(coeff)
+                if type(coeff) is not int:
+                    den = math.lcm(den, coeff.denominator)
+            if coeff:
+                clean[tuple(key)] = coeff
+        self.den = den
+        if den == 1:
+            self.nums = clean
+        else:
+            # the lcm of reduced fractions' denominators leaves no common factor
+            self.nums = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
+            self._terms = clean
 
     # -- constructors -------------------------------------------------
 
@@ -201,15 +251,29 @@ class LaurentPoly:
 
     # -- basic queries -------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], Scalar]:
+        """Exponent key -> coefficient, an ``int`` when integral and a
+        reduced ``Fraction`` otherwise."""
+        den = self.den
+        if den == 1:
+            return self.nums
+        try:
+            return self._terms
+        except AttributeError:
+            self._terms = {k: num // den if num % den == 0 else Fraction(num, den)
+                           for k, num in self.nums.items()}
+            return self._terms
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.nums)
 
     def coeff(self, exponents: Mapping[str, Scalar]) -> Fraction:
         """Coefficient of the monomial with these exponents (0 when absent)."""
-        return Fraction(self.terms.get(_key(self.vars, exponents), 0))
+        return Fraction(self.nums.get(_key(self.vars, exponents), 0), self.den)
 
     # -- ring operations ------------------------------------------------
 
@@ -217,45 +281,49 @@ class LaurentPoly:
         if self.vars != other.vars:
             raise AlgebraError(f"mismatched variable sets {self.vars} vs {other.vars}")
 
-    def __add__(self, other: Union["LaurentPoly", Scalar]) -> "LaurentPoly":
+    def _plus(self, other: Union["LaurentPoly", Scalar], sign: int) -> "LaurentPoly":
+        """self + sign * other over the lcm of the two denominators."""
         if not isinstance(other, LaurentPoly):
             other = LaurentPoly.const(self.vars, other)
         self._check_vars(other)
-        out = dict(self.terms)
+        den = math.lcm(self.den, other.den)
+        scale = den // self.den
+        out = dict(self.nums) if scale == 1 else {k: num * scale for k, num in self.nums.items()}
+        scale = sign * (den // other.den)
         get = out.get
-        for key, coeff in other.terms.items():
-            out[key] = get(key, 0) + coeff
-        return LaurentPoly(self.vars, out)
+        for key, num in other.nums.items():
+            out[key] = get(key, 0) + num * scale
+        return _reduced(self.vars, den, out)
+
+    def __add__(self, other: Union["LaurentPoly", Scalar]) -> "LaurentPoly":
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.vars, {k: -c for k, c in self.terms.items()})
-
     def __sub__(self, other: Union["LaurentPoly", Scalar]) -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            other = LaurentPoly.const(self.vars, other)
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def __neg__(self) -> "LaurentPoly":
+        return _raw(self.vars, self.den, {k: -num for k, num in self.nums.items()})
 
     def __rsub__(self, other: Scalar) -> "LaurentPoly":
         return (-self) + other
 
     def __mul__(self, other: Union["LaurentPoly", Scalar]) -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
-            c = _scalar(other)
-            return LaurentPoly(self.vars, {k: coeff * c for k, coeff in self.terms.items()})
+            num, den = _ratio(other)
+            return _reduced(self.vars, self.den * den, {k: c * num for k, c in self.nums.items()})
         self._check_vars(other)
-        width = _width(self.terms, other.terms)
-        (da, a), (db, b) = _packed(self.terms, width), _packed(other.terms, width)
-        keys: dict[int, tuple[int, ...]] = {}
-        return _over(self.vars, _mul_into({}, keys, a, b, 1), da * db, keys)
+        packing = _packing(len(self.vars), _bound(chain(self.nums, other.nums)))
+        a, b = packing.pack(self.nums.items()), packing.pack(other.nums.items())
+        return packing.over(self.vars, self.den * other.den, _mul_into({}, a, b, 1))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if not isinstance(n, int) or n < 0:
             raise AlgebraError("polynomial powers must be nonnegative integers")
-        result = LaurentPoly.const(self.vars, 1)
+        result = _raw(self.vars, 1, {(0,) * len(self.vars): 1})
         for _ in range(n):
             result = result * self
         return result
@@ -263,7 +331,7 @@ class LaurentPoly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return self.vars == other.vars and self.den == other.den and self.nums == other.nums
 
     __hash__ = None  # mutable dict inside; value identity via __eq__ only
 
@@ -291,15 +359,15 @@ class LaurentPoly:
                 img = LaurentPoly.const(self.vars, value)
             if img.is_zero():
                 image = None
-            elif list(img.terms.values()) == [1]:
-                (image,) = img.terms
+            elif img.den == 1 and list(img.nums.values()) == [1]:
+                (image,) = img.nums
             else:
                 raise AlgebraError(
                     f"binding for {name!r} must be a unit monomial, 1 or 0, not {img}")
             images[self.vars.index(name)] = image
 
-        out: dict[tuple[int, ...], Scalar] = {}
-        for key, coeff in self.terms.items():
+        out: dict[tuple[int, ...], int] = {}
+        for key, num in self.nums.items():
             built = list(key)
             vanishes = False
             for i, image in images.items():
@@ -322,8 +390,8 @@ class LaurentPoly:
                     built[j] += prod // 2
             if not vanishes:
                 new = tuple(built)
-                out[new] = out.get(new, 0) + coeff
-        return LaurentPoly(self.vars, out)
+                out[new] = out.get(new, 0) + num
+        return _reduced(self.vars, self.den, out)
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a rational point.
@@ -334,12 +402,13 @@ class LaurentPoly:
         The sum runs over one common denominator.  For a variable bound to
         a/b whose exponents span [lo, hi], a term's factor (a/b)^e is scaled
         to the integer a^(e-lo) b^(hi-e), read from a power table; the
-        total is divided once by the product of the a^-lo b^hi.
+        numerators' total is divided once, by ``den`` times the product of
+        the a^-lo b^hi.
         """
-        values = {name: _as_fraction(point[name]) for name in self.vars if name in point}
-        num = den = 1
+        values = {name: _ratio(point[name]) for name in self.vars if name in point}
+        num, den = 1, self.den
         tables: list[dict[int, int]] = []  # per variable: doubled exponent -> scaled factor
-        for name, column in zip(self.vars, zip(*self.terms)):
+        for name, column in zip(self.vars, zip(*self.nums)):
             lo, hi = min(column), max(column)
             if lo == hi == 0:
                 tables.append({0: 1})
@@ -349,7 +418,7 @@ class LaurentPoly:
                 raise AlgebraError(f"cannot evaluate half-integer exponent {name}^{_exp_str(odd)}")
             if name not in values:
                 raise AlgebraError(f"unbound variable {name!r}")
-            a, b = values[name].numerator, values[name].denominator
+            a, b = values[name]
             lo, hi = lo // 2, hi // 2
             if lo < 0 and a == 0:
                 raise AlgebraError(f"zero raised to negative power {lo}")
@@ -369,15 +438,15 @@ class LaurentPoly:
             else:
                 den *= b ** hi
         total = sum(math.prod(map(getitem, tables, key), start=coeff)
-                    for key, coeff in self.terms.items())
+                    for key, coeff in self.nums.items())
         return Fraction(total * num, den)
 
     def with_vars(self, vars: Sequence[str]) -> "LaurentPoly":
         """Re-express over another variable set (drop unused, reorder, extend)."""
         vars = tuple(vars)
         index = {name: j for j, name in enumerate(vars)}
-        out: dict[tuple[int, ...], Scalar] = {}
-        for key, coeff in self.terms.items():
+        out: dict[tuple[int, ...], int] = {}
+        for key, num in self.nums.items():
             built = [0] * len(vars)
             for i, t in enumerate(key):
                 if t == 0:
@@ -386,18 +455,19 @@ class LaurentPoly:
                 if name not in index:
                     raise AlgebraError(f"variable {name!r} occurs but is not in the target set")
                 built[index[name]] = t
-            new_key = tuple(built)
-            out[new_key] = out.get(new_key, 0) + coeff
-        return LaurentPoly(vars, out)
+            # distinct keys stay distinct: only variables at exponent 0 are dropped
+            out[tuple(built)] = num
+        return _raw(vars, self.den, out)
 
     # -- rendering -------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         pieces: list[str] = []
-        for key in sorted(self.terms):
-            coeff = self.terms[key]
+        for key in sorted(terms):
+            coeff = terms[key]
             mono_str = monomial_str(self.vars, key)
             mag = abs(coeff)
             if mono_str == "1":

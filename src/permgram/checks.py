@@ -340,14 +340,18 @@ def _run_gen_x1z(spec: CheckSpec, rec: Report) -> None:
     g = rec.grammar("G")
     lhs = gen_coeffs(g, g.poly("x^-1*z"), spec.order)
     front = g.poly("x^-1*z")
-    wy = g.poly("w") - g.poly("y")
-    c = g.poly("x*v - z*u")
+    wy, c = g.poly("w") - g.poly("y"), g.poly("x*v - z*u")
+    wy_pows, c_pows = [g.poly("1")], [g.poly("1")]  # (w - y)^j and c^k, each built once
+    while len(wy_pows) <= spec.order:
+        wy_pows.append(wy_pows[-1] * wy)
+    while len(c_pows) <= spec.order // 2:
+        c_pows.append(c_pows[-1] * c)
     fact = math.factorial
     for n in range(spec.order + 1):
         total = LaurentPoly.zero(WEIGHT_VARS)
         for k in range(n // 2 + 1):
             scale = F(fact(n), (2 ** k) * fact(n - 2 * k) * fact(k))
-            total = total + scale * (wy ** (n - 2 * k)) * (c ** k)
+            total = total + scale * wy_pows[n - 2 * k] * c_pows[k]
         rec.poly_equal(lhs[n], front * total, f"closed form of D^n(x^-1 z) at n={n}")
     rec.note(f"D^n(x^-1 z) matches its binomial closed form through n = {spec.order}")
 

@@ -13,10 +13,10 @@ computes its Taylor coefficients exactly from power-series recurrences,
 without building any D^n(seed); the numeric checks take their exact
 truncations from it.
 
-The inner loops run in ints over one common denominator and divide once per
-result: ``derive`` scales its input and the rules once, ``gen_product``
-scales each stream once, and ``flow_series`` holds every Taylor stream as
-int numerators over one denominator.
+The inner loops run in ints over one common denominator and reduce once per
+result: ``derive`` reads its input's numerators and scales the rules once,
+``gen_product`` scales each stream to one denominator, and ``flow_series``
+holds every Taylor stream as int numerators over one denominator.
 
 The built-in grammars are shipped as data files and parsed on first use,
 so the file parser is exercised on every run:
@@ -37,12 +37,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from importlib import resources
-from operator import add, mul
+from operator import is_, mul
 from pathlib import Path
 from typing import Mapping
 
-from .algebra import (AlgebraError, LaurentPoly, Scalar, _as_fraction, _mul_into, _over,
-                      _packed, _scaled, _width, parse_poly)
+from .algebra import (AlgebraError, LaurentPoly, Scalar, _as_fraction, _bound, _mul_into,
+                      _packing, parse_poly)
 
 
 class GrammarError(ValueError):
@@ -71,42 +71,53 @@ class Grammar:
         return parse_poly(text, self.vars)
 
     @cached_property
-    def _deltas(self) -> tuple[int, tuple[tuple[tuple[tuple[int, ...], int], ...], ...]]:
-        """``(r, per variable i: each term of rule(i) as (exponent delta,
-        integer coefficient))``: the coefficients are scaled to ints over r,
-        the lcm of every rule's denominators, and the delta is the rule's key
-        with the -2 of d/dv_i folded in at i."""
-        r, nums = _scaled([c for rule in self.rules for c in rule.terms.values()])
-        scaled = iter(nums)
-        return r, tuple(
-            tuple((tuple(e - 2 if j == i else e for j, e in enumerate(rkey)), next(scaled))
-                  for rkey in rule.terms)
+    def _deltas(self) -> tuple[int, int, tuple[tuple[tuple[tuple[int, ...], int], ...], ...]]:
+        """``(r, bound, per variable i: each term of rule(i) as (exponent
+        delta, integer coefficient))``: the coefficients are scaled to ints
+        over r, the lcm of every rule's denominators, the delta is the rule's
+        key with the -2 of d/dv_i folded in at i, and bound is the largest
+        |entry| of a delta."""
+        r = math.lcm(*(rule.den for rule in self.rules))
+        deltas = tuple(
+            tuple((tuple(e - 2 if j == i else e for j, e in enumerate(rkey)), num * (r // rule.den))
+                  for rkey, num in rule.nums.items())
             for i, rule in enumerate(self.rules))
+        return r, _bound(delta for row in deltas for delta, _ in row), deltas
+
+    @cached_property
+    def _packed_deltas(self) -> dict:
+        """Packing -> the deltas of ``_deltas`` packed by it, built on first use."""
+        return {}
 
     def derive(self, p: LaurentPoly) -> LaurentPoly:
         """One application of the formal derivative.
 
-        The sum runs in ints.  The input is scaled once to integers over the
-        lcm d of its denominators, and the term of v_i^(t/2) contributes
-        coeff * t * rcoeff with t the doubled exponent; each output term is
-        divided once by 2 d r, to an int where that divides it (always, on a
-        chain with int coefficients and even exponents)."""
+        The sum runs in ints.  The input's numerators are over its
+        denominator d, and the term of v_i^(t/2) contributes num * t * rcoeff
+        with t the doubled exponent; the result is over 2 d r, reduced by
+        one gcd.  Exponent vectors are packed into ints, so shifting a key by
+        a rule's delta is one int addition."""
         if p.vars != self.vars:
             raise AlgebraError(
                 f"polynomial over {p.vars} fed to grammar over {self.vars}")
-        r, deltas = self._deltas
-        d, nums = _scaled(p.terms.values())
-        out: dict[tuple[int, ...], int] = {}
+        r, bound, rows = self._deltas
+        packing = _packing(len(self.vars), max(bound, _bound(p.nums)))
+        deltas = self._packed_deltas.get(packing)
+        if deltas is None:
+            deltas = self._packed_deltas[packing] = [packing.pack(row) for row in rows]
+        pack = packing.key
+        out: dict[int, int] = {}
         get = out.get
-        for key, coeff in zip(p.terms, nums):
+        for key, coeff in p.nums.items():
+            packed = pack(key)
             for i, t in enumerate(key):
                 if t == 0:
                     continue
                 factor = coeff * t
                 for delta, rcoeff in deltas[i]:
-                    nkey = tuple(map(add, key, delta))
+                    nkey = packed + delta
                     out[nkey] = get(nkey, 0) + factor * rcoeff
-        return _over(self.vars, out, 2 * d * r)
+        return packing.over(self.vars, 2 * p.den * r, out)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Grammar):
@@ -150,13 +161,13 @@ def flow_series(grammar: Grammar, seed: LaurentPoly, point: Mapping[str, Scalar]
     if seed.vars != grammar.vars:
         seed = seed.with_vars(grammar.vars)
     live: set[int] = set()
-    reach = [i for key in seed.terms for i, t in enumerate(key) if t]
+    reach = [i for key in seed.nums for i, t in enumerate(key) if t]
     while reach:
         i = reach.pop()
         if i not in live:
             live.add(i)
-            reach.extend(j for key in grammar.rules[i].terms for j, t in enumerate(key) if t)
-    keys = set(seed.terms).union(*(grammar.rules[i].terms for i in live))
+            reach.extend(j for key in grammar.rules[i].nums for j, t in enumerate(key) if t)
+    keys = set(seed.nums).union(*(grammar.rules[i].nums for i in live))
     halves = {i for key in keys for i, t in enumerate(key) if t % 2}
 
     starts: dict[int, Fraction] = {}   # X_i(0)
@@ -182,8 +193,7 @@ def flow_series(grammar: Grammar, seed: LaurentPoly, point: Mapping[str, Scalar]
 
     def over_ms(poly: LaurentPoly) -> tuple[int, list[tuple[int, _Stream]]]:
         """``(d, [(coeff * d, stream of M)])`` for the terms coeff * M of poly."""
-        den, nums = _scaled(poly.terms.values())
-        return den, [(coeff, ms[key]) for key, coeff in zip(poly.terms, nums)]
+        return poly.den, [(num, ms[key]) for key, num in poly.nums.items()]
 
     rules = {i: over_ms(grammar.rules[i]) for i in live}
     logs = {key: [(t, x_rates[i]) for i, t in enumerate(key) if t] for key in keys}
@@ -223,14 +233,15 @@ class _Stream:
         self.den, self.nums = value.denominator, [value.numerator]
 
     def push(self, num: int, den: int) -> None:
-        """Append num / den, reduced once; the common denominator grows to
-        the lcm when den does not divide it."""
-        value = Fraction(num, den)
-        if self.den % value.denominator:
-            grow = value.denominator // math.gcd(self.den, value.denominator)
+        """Append num / den (den != 0), reduced once; the common denominator
+        grows to the lcm when den does not divide it."""
+        g = math.gcd(num, den)
+        num, den = (num // g, den // g) if den > 0 else (-num // g, -den // g)
+        if self.den % den:
+            grow = den // math.gcd(self.den, den)
             self.nums = [c * grow for c in self.nums]
             self.den *= grow
-        self.nums.append(value.numerator * (self.den // value.denominator))
+        self.nums.append(num * (self.den // den))
 
 
 def _exact_root(value: Fraction, name: str) -> Fraction:
@@ -246,27 +257,31 @@ def gen_product(a: list[LaurentPoly], b: list[LaurentPoly]) -> list[LaurentPoly]
     """Coefficient stream of a product of two exponential generating
     functions: c_n = sum_k C(n,k) a_k b_{n-k}, truncated to the shorter input.
 
-    Each stream is scaled once, to integer terms over one common denominator,
-    so each c_n is summed in ints and divided once per term.  Each exponent
-    vector is packed once into one int, so the O(order^2) term products add
-    keys as ints."""
+    Each stream is scaled to one common denominator, so each c_n is summed
+    in ints and reduced once.  Each exponent vector is packed once into one
+    int, so the O(order^2) term products add keys as ints.  A stream times
+    itself (``a[k] is b[k]`` for every k used, as for two slices of one
+    list) sums each pair k < n - k once, at twice its weight."""
     order = min(len(a), len(b)) - 1
     if order < 0:
         return []
+    a, b = a[:order + 1], b[:order + 1]
     vars = a[0].vars
-    if any(p.vars != vars for p in (*a[:order + 1], *b[:order + 1])):
+    if any(p.vars != vars for p in (*a, *b)):
         raise AlgebraError(f"mismatched variable sets in a product of streams over {vars}")
-    width = _width(*((key for p in s[:order + 1] for key in p.terms) for s in (a, b)))
-    packed = [[_packed(p.terms, width) for p in s[:order + 1]] for s in (a, b)]
-    da, db = (math.lcm(*(d for d, _ in s)) for s in packed)
-    keys: dict[int, tuple[int, ...]] = {}
+    same = all(map(is_, a, b))
+    packing = _packing(len(vars), _bound(key for p in (*a, *b) for key in p.nums))
+    pa = [packing.pack(p.nums.items()) for p in a]
+    pb = pa if same else [packing.pack(p.nums.items()) for p in b]
+    da, db = math.lcm(*(p.den for p in a)), math.lcm(*(p.den for p in b))
     out = []
     for n in range(order + 1):
         nums: dict[int, int] = {}
-        for k in range(n + 1):
-            (dk, ak), (dj, bj) = packed[0][k], packed[1][n - k]
-            _mul_into(nums, keys, ak, bj, math.comb(n, k) * (da // dk) * (db // dj))
-        out.append(_over(vars, nums, da * db, keys))
+        for k in range(n // 2 + 1) if same else range(n + 1):
+            j = n - k
+            weight = math.comb(n, k) * (da // a[k].den) * (db // b[j].den)
+            _mul_into(nums, pa[k], pb[j], 2 * weight if same and k < j else weight)
+        out.append(packing.over(vars, da * db, nums))
     return out
 
 

@@ -22,10 +22,21 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
-from typing import Iterable, Union
+from operator import attrgetter, mul
+from typing import Collection, Iterable, Union
 
-from .algebra import Scalar, _as_fraction, _scaled
+from .algebra import Scalar, _as_fraction
+
+_denominator = attrgetter("denominator")
+_numerator = attrgetter("numerator")
+
+
+def _scaled(coeffs: Collection[Fraction]) -> tuple[int, list[int]]:
+    """``(d, integers)``: d is the lcm of the coefficients' denominators and
+    the integers are the coefficients times d, in order."""
+    d = math.lcm(*map(_denominator, coeffs))
+    return d, (list(map(_numerator, coeffs)) if d == 1
+               else [c.numerator * (d // c.denominator) for c in coeffs])
 
 
 class SamplingError(ValueError):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -229,11 +230,20 @@ def test_canonical_construction_order(a, b):
     assert LaurentPoly(SMALL_VARS, merged) == a + b
 
 
-# -- the int-or-Fraction store against Fraction-only definitions ---------------------
+# -- the one-denominator store against Fraction-only definitions ---------------------
 
 
 def assert_normal(p: LaurentPoly) -> None:
-    """Stored coefficients are nonzero ints, or Fractions that are not integral."""
+    """The store is canonical: nonzero int numerators over one positive int
+    denominator with no common factor, and 1 for zero.  The ``terms`` view
+    holds nonzero ints, or Fractions that are not integral."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(num) is int and num != 0 for num in p.nums.values())
+    assert math.gcd(p.den, *p.nums.values()) == 1
+    assert p.nums or p.den == 1
+    if p.den == 1:
+        assert p.terms is p.nums
+    assert p.terms == {key: F(num, p.den) for key, num in p.nums.items()}
     for coeff in p.terms.values():
         assert coeff != 0
         assert type(coeff) is int or (type(coeff) is F and coeff.denominator != 1), coeff
@@ -260,6 +270,17 @@ def reference_mul(a: dict, b: dict) -> dict:
             key = tuple(x + y for x, y in zip(ka, kb))
             out[key] = out.get(key, F(0)) + ca * cb
     return {key: coeff for key, coeff in out.items() if coeff}
+
+
+def reference_scale(c, a: dict) -> dict:
+    return {key: F(c) * coeff for key, coeff in a.items() if c}
+
+
+def reference_power(a: dict, k: int) -> dict:
+    out = {(0,) * len(SMALL_VARS): F(1)}
+    for _ in range(k):
+        out = reference_mul(out, a)
+    return out
 
 
 def reference_evaluate(vars, terms: dict, point) -> F:
@@ -304,11 +325,21 @@ POINTS = st.dictionaries(st.sampled_from(SMALL_VARS),
 
 
 @settings(max_examples=150, deadline=None)
-@given(mixed_polys(), mixed_polys())
-def test_add_and_mul_match_the_fraction_definitions(a, b):
+@given(mixed_polys(), mixed_polys(), st.integers(min_value=0, max_value=3),
+       st.one_of(st.just(0), COEFFS))
+@example(parse_poly("1/2*x + 1/2*y", SMALL_VARS), parse_poly("-1/2*x + 1/3", SMALL_VARS), 2,
+         F(4, 3))  # sums and scalings whose common factor must come out
+def test_add_and_mul_match_the_fraction_definitions(a, b, k, c):
     ra, rb = reference_terms(a), reference_terms(b)
-    for got, want in ((a + b, reference_add(ra, rb)), (a * b, reference_mul(ra, rb)),
-                      (a * F(3, 2), reference_mul(ra, {(0, 0, 0): F(3, 2)}))):
+    const = reference_scale(c, {(0, 0, 0): 1})
+    minus_a, minus_b = reference_scale(-1, ra), reference_scale(-1, rb)
+    for got, want in ((a + b, reference_add(ra, rb)), (a - b, reference_add(ra, minus_b)),
+                      (-b, minus_b), (a + c, reference_add(ra, const)),
+                      (c - a, reference_add(const, minus_a)),
+                      (a * b, reference_mul(ra, rb)), (a * a, reference_mul(ra, ra)),
+                      (c * a, reference_scale(c, ra)), (a * c, reference_scale(c, ra)),
+                      (a * F(3, 2), reference_scale(F(3, 2), ra)),
+                      (a ** k, reference_power(ra, k))):
         assert got.terms == want
         assert_normal(got)
     assert_normal(a)
@@ -326,6 +357,20 @@ def test_products_over_a_common_denominator_match_the_definition(a, b):
     for got, want in ((a * b, reference_mul(ra, rb)), (b * a, reference_mul(ra, rb)),
                       ((a + b) * (a - b), squares),
                       (a * LaurentPoly(SMALL_VARS), {})):
+        assert got.terms == want
+        assert_normal(got)
+
+
+@pytest.mark.parametrize("t", [31, 32, 63, 64, 2 ** 14 - 1, 2 ** 14, 2 ** 30, 2 ** 62 - 1, 2 ** 62,
+                               2 ** 100])
+def test_products_at_every_packing_width(t):
+    # doubled exponents on both sides of each packed field width: 8, 16, 32
+    # and 64 bits, and past them
+    a = LaurentPoly(SMALL_VARS, {(t, -t, 1): F(1, 2), (-t, 0, t): 3, (0, 0, 0): -1})
+    b = LaurentPoly(SMALL_VARS, {(-t, t, -1): 5, (t, 1, -t): F(-2, 3), (1 - t, t - 1, 0): 7})
+    ra, rb = reference_terms(a), reference_terms(b)
+    for got, want in ((a * b, reference_mul(ra, rb)), (a * a, reference_mul(ra, ra)),
+                      (b * b * b, reference_mul(reference_mul(rb, rb), rb))):
         assert got.terms == want
         assert_normal(got)
 

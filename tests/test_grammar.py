@@ -5,11 +5,13 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from permgram import grammar as grammar_module
 from permgram.algebra import AlgebraError, LaurentPoly, parse_poly
 from permgram.grammar import (Grammar, GrammarError, builtin, builtin_hash, builtin_names,
                               flow_series, gen_coeffs, gen_product, load_grammar,
@@ -327,15 +329,16 @@ def reference_derive(grammar, terms: dict) -> dict:
     return {key: coeff for key, coeff in out.items() if coeff}
 
 
-def fraction_poly(vars, terms: dict) -> LaurentPoly:
-    """A polynomial holding exactly these Fraction coefficients, past the
-    constructor's int normalization: the store as it was before ints."""
-    p = LaurentPoly(vars)
-    p.terms = dict(terms)
-    return p
+def fraction_str(vars, terms: dict) -> str:
+    """The rendering of exactly these Fraction coefficients, past the
+    kernel's int normalization: the store as it was before ints."""
+    return LaurentPoly.__str__(SimpleNamespace(vars=vars, terms=dict(terms)))
 
 
 def assert_normal(p: LaurentPoly) -> None:
+    """Canonical store: int numerators over one denominator in lowest terms."""
+    assert p.den > 0 and math.gcd(p.den, *p.nums.values()) == 1 and (p.nums or p.den == 1)
+    assert all(type(num) is int and num for num in p.nums.values())
     for coeff in p.terms.values():
         assert type(coeff) is int or (type(coeff) is F and coeff.denominator != 1), coeff
 
@@ -347,7 +350,7 @@ def test_chain_renders_as_the_fraction_reference(name, seed):
     terms = {key: F(coeff) for key, coeff in grammar.poly(seed).terms.items()}
     for n, poly in enumerate(gen_coeffs(grammar, grammar.poly(seed), 12)):
         assert poly.terms == terms, n
-        assert str(poly) == str(fraction_poly(grammar.vars, terms)), n
+        assert str(poly) == fraction_str(grammar.vars, terms), n
         assert_normal(poly)
         terms = reference_derive(grammar, terms)
 
@@ -371,6 +374,20 @@ def test_derive_matches_the_fraction_definition(rules, seed):
     terms = {key: F(coeff) for key, coeff in seed.terms.items()}
     poly = seed
     for n in range(1, 4):
+        poly, terms = grammar.derive(poly), reference_derive(grammar, terms)
+        assert poly.terms == terms, n
+        assert_normal(poly)
+
+
+@pytest.mark.parametrize("t", [30, 62, 63, 64, 2 ** 14 - 2, 2 ** 14, 2 ** 62 - 2, 2 ** 62, 2 ** 100])
+def test_derive_at_every_packing_width(t):
+    # input and rule exponents on both sides of each packed field width
+    grammar = Grammar(FLOW_VARS, (LaurentPoly(FLOW_VARS, {(t, 0, -t): F(1, 3), (0, 2, 0): 1}),
+                                  LaurentPoly(FLOW_VARS, {(-t, t, 2): -2}),
+                                  LaurentPoly(FLOW_VARS, {(2, 2, 2): F(5, 2)})))
+    seed = LaurentPoly(FLOW_VARS, {(t, -t, 1): 3, (1 - t, 0, t): F(-1, 2)})
+    poly, terms = seed, {key: F(coeff) for key, coeff in seed.terms.items()}
+    for n in range(1, 3):
         poly, terms = grammar.derive(poly), reference_derive(grammar, terms)
         assert poly.terms == terms, n
         assert_normal(poly)
@@ -408,12 +425,79 @@ def flow_poly(text: str) -> LaurentPoly:
 @example([flow_poly("a^1/2")],  # packed too narrow for b, a^2 and b^1/2 would share a key
          [flow_poly("a^3/2 + 2*a^-1/2*b^1/2")])
 def test_gen_product_matches_the_fraction_definition(a, b):
-    got = gen_product(a, b)
-    assert [p.terms for p in got] == reference_gen_product([p.terms for p in a],
-                                                           [p.terms for p in b])
-    for p in got:
-        assert p.vars == FLOW_VARS
-        assert_normal(p)
+    ra, rb = [p.terms for p in a], [p.terms for p in b]
+    # a stream times itself: one list, a copy of it, and two slices of one list
+    for got, want in ((gen_product(a, b), reference_gen_product(ra, rb)),
+                      (gen_product(a, a), reference_gen_product(ra, ra)),
+                      (gen_product(b, list(b)), reference_gen_product(rb, rb)),
+                      (gen_product(b[:3], b[:4]), reference_gen_product(rb[:3], rb[:3]))):
+        assert [p.terms for p in got] == want
+        for p in got:
+            assert p.vars == FLOW_VARS
+            assert_normal(p)
+
+
+@pytest.mark.parametrize("order", [0, 1, 6, 7])
+def test_a_stream_times_itself_pairs_each_term_once(monkeypatch, order):
+    # sum_n (floor(n/2) + 1) products of pairs for a stream times itself,
+    # sum_n (n + 1) for two different streams
+    calls = []
+    original = grammar_module._mul_into
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+    monkeypatch.setattr(grammar_module, "_mul_into", counting)
+    gz = gen_coeffs(G, G.poly("z"), order)
+    gs = gen_coeffs(G, G.poly("-8/3*x^-1/2*z^-1/2"), order + 2)
+    for a, b, same in ((gz, gz, True), (gs[:order + 1], gs[:order + 1], True),
+                       (gz, gs, False), (gs[1:], gs, False)):
+        calls.clear()
+        got = gen_product(a, b)
+        top = min(len(a), len(b))
+        assert len(calls) == sum(n // 2 + 1 if same else n + 1 for n in range(top))
+        assert [p.terms for p in got] == reference_gen_product([p.terms for p in a],
+                                                               [p.terms for p in b])
+
+
+def test_the_half_seed_kernel_builds_no_fraction(monkeypatch):
+    # derive the scaled half seed to order 16, square the chain and form the
+    # cylinder-equation residuals of the ode check, counting every Fraction
+    # built; the inputs and scalars are built before counting starts
+    order = 14
+    seed = G.poly("-8/3*x^-1/2*z^-1/2")
+    alpha = G.poly("y^2 + 2*y*w + w^2 - 2*x*v - 2*z*u")
+    beta = 2 * (G.poly("w") - G.poly("y")) * G.poly("x*v - z*u")
+    gamma = 2 * G.poly("x*v - z*u") ** 2
+    scales = [(F(1, 4), F(n, 4), F(n * (n - 1), 8)) for n in range(order + 1)]
+    built = []
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+    original = F.__new__
+    monkeypatch.setattr(F, "__new__", staticmethod(counting))
+    if hasattr(F, "_from_coprime_ints"):  # Fraction arithmetic's constructor from 3.12 on
+        coprime = F._from_coprime_ints.__func__
+        monkeypatch.setattr(F, "_from_coprime_ints", classmethod(
+            lambda cls, *args: built.append(args) or coprime(cls, *args)))
+    assert F(1, 3) and len(built) == 1  # the counter sees a construction
+    built.clear()
+    chain = gen_coeffs(G, seed, order + 2)
+    square = gen_product(chain[:order + 1], chain[:order + 1])
+    residuals = []
+    for n, (quarter, first, second) in enumerate(scales):
+        residual = chain[n + 2] - quarter * alpha * chain[n]
+        if n >= 1:
+            residual = residual - first * beta * chain[n - 1]
+        if n >= 2:
+            residual = residual - second * gamma * chain[n - 2]
+        residuals.append(residual)
+    assert built == []
+    monkeypatch.undo()
+    assert all(residual.is_zero() for residual in residuals)
+    assert square == gen_coeffs(G, F(64, 9) * G.poly("x^-1*z^-1"), order)
+    assert chain[1].terms == {(-1, 2, -1, 0, 0, 0): F(4, 3), (-1, 0, -1, 2, 0, 0): F(4, 3)}
 
 
 def test_gen_product_rejects_mismatched_variable_sets():
