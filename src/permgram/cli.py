@@ -174,8 +174,12 @@ def _cmd_oeis(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a dash-led value such as '-8/3*z' as an option: glue it to --seed
+    for i in range(len(argv) - 2, -1, -1):
+        if argv[i] == "--seed":
+            argv[i:i + 2] = ["--seed=" + argv[i + 1]]
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "derive":
             return _cmd_derive(args)

@@ -11,8 +11,12 @@ without special-casing.  Where the series cancels so far that rounding
 could exceed the tolerance (large positive z), it raises ConvergenceError
 instead of returning a drifted value.
 
-Arguments may be complex: the closed forms pair D_a at a real point with
-D_a at an imaginary one (one of the two square roots sqrt(xv-zu),
+Both master closed forms under G read one denominator f(t), a sum of two
+cylinder functions of linear arguments in t.  Since exp(tD) is a ring
+homomorphism, Gen(z) = z e^{(w-y)t/2 + d2 t^2/4} f(0)/f(t) and
+Gen(w) = ((w-y) + d2 t)/2 - f'(t)/f(t), with d2 = xv - zu; four calls of
+pcf_d_derivs give f(0), f(t) and f'(t).  Arguments may be complex: f pairs
+D_a at a real point with D_a at an imaginary one (one of sqrt(xv-zu),
 sqrt(zu-xv) is always imaginary), and only the final combination is real.
 The leftover imaginary part is asserted small and then discarded.
 
@@ -97,6 +101,7 @@ def pcf_d_derivs(a: Real, z: ComplexLike) -> tuple[complex, complex, complex]:
     precision: rounding in the sum is about eps * sum |c_k z^k|, and once
     that, times |C e^{-z^2/4}|, exceeds TOLERANCE * max(1, |D_a|) the
     value would drift without notice (a = -1 from z = 5.5 on, for one).
+    The guard bounds the value only; the closed forms also read D'.
     """
     zz = complex(z)
     z2 = zz * zz
@@ -130,14 +135,19 @@ def pcf_d_derivs(a: Real, z: ComplexLike) -> tuple[complex, complex, complex]:
 
 
 def _require_real(value: complex) -> float:
-    if abs(value.imag) > IMAG_TOLERANCE:
+    if not abs(value.imag) <= IMAG_TOLERANCE:
         raise ImaginaryResidualError(
             f"imaginary residual {value.imag:.3e} exceeds {IMAG_TOLERANCE:.1e}")
     return value.real
 
 
-def _pcf_pieces(params: Mapping[str, Real], t: float):
-    """Shared ingredients of the two main closed forms."""
+def _denominator(params: Mapping[str, Real], t: float):
+    """(w - y, d2, z, f(0), f(t), f'(t)) for the closed forms at (params, t).
+
+    f(t) = A D_{a_del}(delta t + (w-y)/delta) + B D_{a_hat}(dhat t + (y-w)/dhat)
+    with d2 = xv - zu, delta = sqrt(d2), dhat = sqrt(-d2), A = -(y+w)/2 q - dhat q'
+    and B = (y+w)/2 p + delta p', where p, q are the two D at t = 0.
+    """
     x, y, z, w, u, v = (float(params[name]) for name in ("x", "y", "z", "w", "u", "v"))
     d2 = x * v - z * u
     if d2 == 0:
@@ -148,40 +158,23 @@ def _pcf_pieces(params: Mapping[str, Real], t: float):
     dhat = cmath.sqrt(complex(-d2))
     a_del = (z * u - y * w) / d2          # order paired with the delta argument
     a_hat = (x * v - y * w) / (-d2)       # order paired with the delta-hat argument
-    p = pcf_d(a_del, (w - y) / delta)
-    q = pcf_d(a_hat, (y - w) / dhat)
-    r = pcf_d((x * v - y * w) / d2, (w - y) / delta)
-    s = pcf_d((z * u - y * w) / (-d2), (y - w) / dhat)
-    arg_del = delta * t + (w - y) / delta
-    arg_hat = dhat * t + (y - w) / dhat
-    coef_a = dhat * s - q * y
-    coef_b = p * w - delta * r
-    d_del = pcf_d(a_del, arg_del)
-    d_hat = pcf_d(a_hat, arg_hat)
-    return {
-        "x": x, "y": y, "z": z, "w": w, "u": u, "v": v, "d2": d2,
-        "delta": delta, "dhat": dhat, "a_del": a_del, "a_hat": a_hat,
-        "p": p, "q": q, "r": r, "s": s,
-        "arg_del": arg_del, "arg_hat": arg_hat, "d_del": d_del, "d_hat": d_hat,
-        "coef_a": coef_a, "coef_b": coef_b, "denominator": coef_a * d_del + coef_b * d_hat,
-    }
+    p, dp, _ = pcf_d_derivs(a_del, (w - y) / delta)
+    q, dq, _ = pcf_d_derivs(a_hat, (y - w) / dhat)
+    coef_a = -(y + w) / 2 * q - dhat * dq
+    coef_b = (y + w) / 2 * p + delta * dp
+    d_del, dd_del, _ = pcf_d_derivs(a_del, delta * t + (w - y) / delta)
+    d_hat, dd_hat, _ = pcf_d_derivs(a_hat, dhat * t + (y - w) / dhat)
+    return (w - y, d2, z, delta * dp * q - dhat * p * dq, coef_a * d_del + coef_b * d_hat,
+            coef_a * delta * dd_del + coef_b * dhat * dd_hat)
 
 
 def gen_p_value(params: Mapping[str, Real], t: float) -> float:
-    """Closed form of the exterior-scheme generating function at (params, t)."""
-    g = _pcf_pieces(params, t)
-    w, y, z = g["w"], g["y"], g["z"]
-    numerator = z * (g["p"] * g["q"] * (w - y)
-                     + (g["dhat"] * g["p"] * g["s"] - g["delta"] * g["q"] * g["r"]))
-    numerator *= cmath.exp((w - y) * t / 2 + g["d2"] * t * t / 4)
-    return _require_real(numerator / g["denominator"])
+    """Exterior-scheme generating function z e^{(w-y)t/2 + d2 t^2/4} f(0)/f(t)."""
+    wy, d2, z, f0, f, _ = _denominator(params, t)
+    return _require_real(z * cmath.exp(wy * t / 2 + d2 * t * t / 4) * f0 / f)
 
 
 def gen_q_value(params: Mapping[str, Real], t: float) -> float:
-    """Closed form of the peak-scheme generating function at (params, t)."""
-    g = _pcf_pieces(params, t)
-    w, y = g["w"], g["y"]
-    first = (g["d2"] * t + w - y) * g["coef_b"] * g["d_hat"]
-    second = (g["coef_a"] * g["delta"] * pcf_d((g["x"] * g["v"] - y * w) / g["d2"], g["arg_del"])
-              + g["coef_b"] * g["dhat"] * pcf_d((g["z"] * g["u"] - y * w) / (-g["d2"]), g["arg_hat"]))
-    return _require_real((first + second) / g["denominator"])
+    """Peak-scheme generating function (w - y + d2 t)/2 - f'(t)/f(t)."""
+    wy, d2, _, _, f, df = _denominator(params, t)
+    return _require_real((wy + d2 * t) / 2 - df / f)

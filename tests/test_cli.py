@@ -34,11 +34,12 @@ def test_derive_file_grammar(tmp_path, capsys):
 def test_derive_renders_the_scaled_half_seed_chain_as_pinned(capsys):
     # tests/data/derive-G-scaled-half-seed-n8.txt is the output of
     # `permgram derive --grammar G --seed=-8/3*x^-1/2*z^-1/2 --n 8 --all`,
-    # a chain whose coefficients mix ints and non-integral rationals
-    argv = ["derive", "--grammar", "G", "--seed=-8/3*x^-1/2*z^-1/2", "--n", "8", "--all"]
-    assert main(argv) == 0
+    # a chain whose coefficients mix ints and non-integral rationals; the
+    # negative seed may also follow --seed as its own argument
     pinned = (Path(__file__).parent / "data" / "derive-G-scaled-half-seed-n8.txt").read_text()
-    assert capsys.readouterr().out == pinned
+    for seed in (["--seed=-8/3*x^-1/2*z^-1/2"], ["--seed", "-8/3*x^-1/2*z^-1/2"]):
+        assert main(["derive", "--grammar", "G", *seed, "--n", "8", "--all"]) == 0
+        assert capsys.readouterr().out == pinned
 
 
 def test_derive_usage_errors(capsys):

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import random
 
 import pytest
 
+from permgram import specialfn
 from permgram.grammar import builtin, gen_coeffs
-from permgram.specialfn import (TOLERANCE, ConvergenceError, gen_p_value, gen_q_value, hyp1f1,
-                                pcf_d, pcf_d_derivs, rgamma)
+from permgram.specialfn import (TOLERANCE, ConvergenceError, ImaginaryResidualError, gen_p_value,
+                                gen_q_value, hyp1f1, pcf_d, pcf_d_derivs, rgamma)
 
 
 def reference_pcf_d(a, z):
@@ -108,6 +111,75 @@ def test_gen_value_guards():
         gen_p_value(degenerate, 0.1)
     with pytest.raises(ValueError):
         gen_p_value(SAMPLE, 0.9)  # outside the |t| radius
+
+
+def reference_gen_values(params, t):
+    """(Gen(z), Gen(w)) at (params, t) in the ladder form: the orders a+1 of
+    r and s stand where gen_p_value and gen_q_value read D', and the
+    numerator restates f(0).  Sums six and eight cylinder functions."""
+    x, y, z, w, u, v = (params[name] for name in "xyzwuv")
+    d2 = x * v - z * u
+    delta, dhat = cmath.sqrt(d2), cmath.sqrt(-d2)
+    a_del, a_hat = (z * u - y * w) / d2, (x * v - y * w) / (-d2)
+    p, q = pcf_d(a_del, (w - y) / delta), pcf_d(a_hat, (y - w) / dhat)
+    r = pcf_d((x * v - y * w) / d2, (w - y) / delta)
+    s = pcf_d((z * u - y * w) / (-d2), (y - w) / dhat)
+    arg_del, arg_hat = delta * t + (w - y) / delta, dhat * t + (y - w) / dhat
+    coef_a, coef_b = dhat * s - q * y, p * w - delta * r
+    denominator = coef_a * pcf_d(a_del, arg_del) + coef_b * pcf_d(a_hat, arg_hat)
+    numerator = z * (p * q * (w - y) + (dhat * p * s - delta * q * r))
+    numerator *= cmath.exp((w - y) * t / 2 + d2 * t * t / 4)
+    first = (d2 * t + w - y) * coef_b * pcf_d(a_hat, arg_hat)
+    second = (coef_a * delta * pcf_d((x * v - y * w) / d2, arg_del)
+              + coef_b * dhat * pcf_d((z * u - y * w) / (-d2), arg_hat))
+    return numerator / denominator, (first + second) / denominator
+
+
+def _box_points():
+    """Points of the [9/16, 31/16] box with |xv - zu| >= 1/4: the corners of
+    xv - zu (about +-3.44, imaginary delta when negative), |xv - zu| = 1/4,
+    the largest |w - y| both ways, and a random sample."""
+    corners = [(31 / 16, 9 / 16, 9 / 16, 31 / 16), (9 / 16, 31 / 16, 31 / 16, 9 / 16),
+               (1.25, 1.0, 1.0, 1.0), (1.0, 1.0, 1.25, 1.0)]              # (x, z, u, v)
+    yw = [(9 / 16, 31 / 16), (31 / 16, 9 / 16), (0.75, 1.0)]
+    points = [dict(x=x, z=z, u=u, v=v, y=y, w=w)
+              for (x, z, u, v), (y, w) in itertools.product(corners, yw)]
+    rng = random.Random(19)
+    while len(points) < 60:
+        point = {name: rng.randrange(9, 32, 2) / 16 for name in "xyzwuv"}
+        if abs(point["x"] * point["v"] - point["z"] * point["u"]) >= 0.25:
+            points.append(point)
+    return points
+
+
+def test_closed_forms_match_the_ladder_form_on_the_box():
+    # the complex arguments (xv < zu) and the orders off the mpmath grid
+    for point in _box_points():
+        for t in (-0.3, -0.15, 0.0, 0.15, 0.3):
+            want_p, want_q = reference_gen_values(point, t)
+            for got, want in ((gen_p_value(point, t), want_p), (gen_q_value(point, t), want_q)):
+                assert abs(got - want.real) <= 1e-12 * max(1.0, abs(want)), (point, t)
+
+
+def test_each_closed_form_makes_four_cylinder_evaluations(monkeypatch):
+    calls = []
+    real = specialfn.pcf_d_derivs
+    monkeypatch.setattr(specialfn, "pcf_d_derivs", lambda a, z: calls.append(a) or real(a, z))
+    for closed_form in (gen_p_value, gen_q_value):
+        calls.clear()
+        closed_form(SAMPLE, 0.15)
+        assert len(calls) == 4, closed_form.__name__
+
+
+def test_a_nan_imaginary_part_does_not_pass(monkeypatch):
+    with pytest.raises(ImaginaryResidualError):
+        specialfn._require_real(complex(1.0, math.nan))
+    real = specialfn.pcf_d_derivs
+    monkeypatch.setattr(specialfn, "pcf_d_derivs",
+                        lambda a, z: tuple(d + complex(0.0, math.nan) for d in real(a, z)))
+    for closed_form in (gen_p_value, gen_q_value):
+        with pytest.raises(ImaginaryResidualError):
+            closed_form(SAMPLE, 0.15)
 
 
 def test_gen_q_is_log_derivative_of_gen_p():
