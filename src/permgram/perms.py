@@ -33,7 +33,7 @@ from operator import lt
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .algebra import LaurentPoly
+from .algebra import LaurentPoly, _raw
 
 Perm = tuple[int, ...]
 
@@ -137,7 +137,7 @@ class Labeling:
 
 def _weight(exponents: Iterable[int]) -> LaurentPoly:
     """The monomial over ``WEIGHT_VARS`` with these exponents, in that order."""
-    return LaurentPoly(WEIGHT_VARS, {tuple(2 * e for e in exponents): 1})
+    return _raw(WEIGHT_VARS, 1, {tuple([2 * e for e in exponents]): 1})  # canonical as built
 
 
 def _assign(labels: list[str | None], pos: int, label: str) -> None:
@@ -155,11 +155,10 @@ def label_exterior(perm: Sequence[int]) -> Labeling:
     ('x', 'v', 'w', 'u', 'z', 'y', 'z')
     """
     perm = check_permutation(perm)
-    n = len(perm)
-    labels: list[str | None] = [None] * n + ["z"]
-    for i in range(1, n):
-        left = perm[i - 2] if i >= 2 else 0
-        mid, right = perm[i - 1], perm[i]
+    labels: list[str | None] = [None] * len(perm) + ["z"]
+    # i - 1 indexes pi_i for 1 <= i <= n-1; the left zero is never above pi_i,
+    # so a double descent found here has i >= 2
+    for i, left, mid, right in zip(itertools.count(1), (0,) + perm, perm, perm[1:]):
         if left < mid > right:
             if left < right:
                 _assign(labels, i - 1, "x")
@@ -167,10 +166,9 @@ def label_exterior(perm: Sequence[int]) -> Labeling:
             else:
                 _assign(labels, i - 1, "u")
                 _assign(labels, i, "z")
-    for i in range(2, n):
-        if perm[i - 2] > perm[i - 1] > perm[i]:
+        elif left > mid > right:
             _assign(labels, i, "y")
-    filled = tuple(label if label is not None else "w" for label in labels)
+    filled = tuple([label or "w" for label in labels])
     return Labeling(filled, _weight(map(filled.count, WEIGHT_VARS)))
 
 
@@ -188,10 +186,8 @@ def label_peak(perm: Sequence[int]) -> Labeling:
     if n < 1:
         raise ValueError("peak-scheme labeling needs a nonempty permutation")
     labels: list[str | None] = [None] * (n + 1)
-    for i in range(1, n + 1):
-        left = perm[i - 2] if i >= 2 else 0
-        mid = perm[i - 1]
-        right = perm[i] if i < n else 0
+    padded = (0,) + perm + (0,)  # both boundary zeros
+    for i, left, mid, right in zip(itertools.count(1), padded, perm, padded[2:]):
         if left < mid > right:
             if left <= right:
                 _assign(labels, i - 1, "x")
@@ -203,7 +199,7 @@ def label_peak(perm: Sequence[int]) -> Labeling:
             _assign(labels, i, "y")
         elif left < mid < right:
             _assign(labels, i - 1, "w")
-    if any(label is None for label in labels):
+    if None in labels:
         raise AssertionError(f"peak labeling left a position unlabeled for {perm}")
     filled = tuple(labels)  # type: ignore[arg-type]
     return Labeling(filled, _weight(map(filled.count, WEIGHT_VARS)))
@@ -229,6 +225,10 @@ def insertion_children(perm: Sequence[int]) -> list[Perm]:
     return [perm[:i] + (new,) + perm[i:] for i in range(new)]
 
 
+#: The positions of each valid pattern seen, in the order it ranks them.
+_PATTERN_ORDERS: dict[tuple[int, ...], list[int]] = {}
+
+
 def consecutive_count(perm: Sequence[int], pattern: Sequence[int]) -> int:
     """Number of adjacent windows order-isomorphic to the pattern: read in
     the order the pattern ranks its positions, a window's values increase.
@@ -236,22 +236,28 @@ def consecutive_count(perm: Sequence[int], pattern: Sequence[int]) -> int:
     >>> consecutive_count((1, 2, 3, 4, 5, 6), (1, 2))
     5
     """
-    pattern = check_permutation(pattern)
-    m = len(pattern)
-    if m == 0:
-        raise ValueError("empty pattern")
+    key = tuple(pattern)
+    order = _PATTERN_ORDERS.get(key)
+    if order is None:  # validate and rank each distinct pattern once
+        pattern = check_permutation(pattern)
+        if not pattern:
+            raise ValueError("empty pattern")
+        order = _PATTERN_ORDERS[key] = sorted(range(len(pattern)), key=pattern.__getitem__)
     perm = tuple(perm)
-    last = max(len(perm) - m + 1, 0)  # number of windows
-    order = sorted(range(m), key=pattern.__getitem__)
-    return sum(all(map(lt, ranked, ranked[1:]))
-               for ranked in zip(*(perm[k:last + k] for k in order)))
+    last = max(len(perm) - len(order) + 1, 0)  # number of windows
+    # column j lists, window by window, the value at the j-th ranked position
+    columns = [perm[k:last + k] for k in order]
+    rises = [map(lt, low, high) for low, high in zip(columns, columns[1:])]
+    return sum(map(all, zip(*rises))) if rises else last
 
 
 def involution_count(n: int) -> int:
     """Number of self-inverse permutations of [n], by direct check."""
     count = 0
     for perm in permutations(n):
-        if all(perm[perm[i] - 1] == i + 1 for i in range(n)):
+        # most permutations already fail at position 1
+        if not perm or perm[perm[0] - 1] == 1 and all(perm[perm[i] - 1] == i + 1
+                                                      for i in range(1, n)):
             count += 1
     return count
 

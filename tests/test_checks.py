@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import sys
+from collections import Counter
 
 import pytest
 
@@ -293,6 +295,16 @@ def test_sampled_check_can_fail(check_id, monkeypatch):
     report = run_check(check_id, n_max=5, order=5)
     assert not report.passed
     assert "coefficient of t^" in report.counterexample
+    if check_id in SAMPLED_FAILURES:
+        assert report.counterexample == SAMPLED_FAILURES[check_id]
+
+
+# The first failure of two wrong builders, word for word as the Fraction
+# comparison wrote it: the int comparison words a failure the same way.
+SAMPLED_FAILURES = {
+    "tn": "rhs_t at (x,y)=(0,1/3), coefficient of t^1: 0 != 1",
+    "elizalde-noy": "rhs_elizalde_noy at a=2, coefficient of t^3: 11/9 != 13/12",
+}
 
 
 def _edited_g(name):
@@ -317,12 +329,15 @@ def _involutions_off_at_3(monkeypatch):
     monkeypatch.setattr(checks, "involution_count", lambda n: count(n) + (n == 3))
 
 
-# One wrong ingredient for each brute-force walk, and the failure it must report.
+# One wrong ingredient for each brute-force walk, and the failure it must
+# report, word for word.
 WALK_MUTANTS = {
     "insertion": (lambda mp: mp.setattr(checks, "builtin", _edited_g),
-                  "insertion step at (3, 2, 1)"),
-    "stats-id": (_swapped_q, "peak labeling weight at (1,)"),
-    "involutions": (_involutions_off_at_3, "involution count, coefficient of t^3"),
+                  "insertion step at (3, 2, 1): coefficient of x*z^2*u*v is 1 on the left, "
+                  "0 on the right"),
+    "stats-id": (_swapped_q,
+                 "peak labeling weight at (1,): coefficient of u*v is 0 on the left, 1 on the right"),
+    "involutions": (_involutions_off_at_3, "involution count, coefficient of t^3: 2/3 != 5/6"),
 }
 
 
@@ -333,7 +348,7 @@ def test_walk_can_fail(check_id, monkeypatch):
     mutate(monkeypatch)
     report = run_check(check_id, n_max=4)
     assert not report.passed
-    assert report.counterexample.startswith(failure + ":"), report.counterexample
+    assert report.counterexample == failure
 
 
 def test_stats_id_computes_each_statistic_vector_once(monkeypatch):
@@ -348,6 +363,21 @@ def test_stats_id_computes_each_statistic_vector_once(monkeypatch):
     monkeypatch.setattr(checks, "stats", counting)
     assert run_check("stats-id", n_max=4).passed
     assert len(calls) == sum(math.factorial(n) for n in range(5)) == 34
+
+
+def test_stats_id_validates_each_pattern_once(monkeypatch):
+    callers = []
+
+    def counting(values):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(values)
+
+    real = perms.check_permutation
+    monkeypatch.setattr(perms, "check_permutation", counting)
+    monkeypatch.setattr(perms, "_PATTERN_ORDERS", {})  # as in a fresh process
+    assert run_check("stats-id", n_max=4).passed
+    # label_peak still validates each of the 33 nonempty permutations
+    assert Counter(callers) == {"consecutive_count": 2, "label_peak": 33}
 
 
 def test_run_many_parallel():

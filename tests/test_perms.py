@@ -302,6 +302,32 @@ def test_involution_counts():
     assert [involution_count(n) for n in range(8)] == [1, 1, 2, 4, 10, 26, 76, 232]
 
 
+def test_involution_count_matches_the_inverse_definition():
+    def inverse(perm):
+        out = [0] * len(perm)
+        for i, value in enumerate(perm, 1):
+            out[value - 1] = i
+        return tuple(out)
+
+    for n in range(9):
+        assert involution_count(n) == sum(perm == inverse(perm) for perm in permutations(n)), n
+
+
+def test_an_invalid_pattern_raises_on_every_call(monkeypatch):
+    monkeypatch.setattr(perms_module, "_PATTERN_ORDERS", {})
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^\[1, 3\] is not a permutation of 1..2$"):
+            consecutive_count((1, 2, 3), [1, 3])
+        with pytest.raises(ValueError, match="^empty pattern$"):
+            consecutive_count((1, 2, 3), ())
+    assert perms_module._PATTERN_ORDERS == {}
+    # a valid pattern is ranked once, under its tuple, whatever sequence carries it
+    assert consecutive_count((2, 3, 1, 4), [2, 3, 1]) == 1
+    assert consecutive_count((2, 3, 1, 4), (2, 3, 1)) == 1
+    assert consecutive_count((5, 1), (1,)) == 2
+    assert perms_module._PATTERN_ORDERS == {(2, 3, 1): [2, 0, 1], (1,): [0]}
+
+
 def test_coefficient_of_xyzwv_and_its_witnesses():
     # five permutations of [4] carry one 132-pattern exterior peak and one
     # proper double descent; the published list misprints one of them
