@@ -12,6 +12,12 @@ and the ``terms`` view builds its Fractions on first read.  A product packs
 each exponent vector into one int, so adding two keys is one int addition,
 and unpacks each distinct key of the result once.
 
+Like ``terms``, each polynomial keeps from first use a few facts per
+variable about its column of exponents, and nothing per term
+(``_span_cache``); ``evaluate`` and ``Grammar.derive`` read them instead of
+rescanning the exponents, and run their per-term work as ``map`` pipelines
+over the columns.
+
 Everything here is an immutable value; operations are pure functions and
 safe to share across threads.  Two polynomials built in different term
 orders compare equal, and the text rendering (canonical term order,
@@ -24,14 +30,15 @@ import math
 import struct
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
-from operator import getitem, lshift
-from typing import Iterable, Mapping, Sequence, Union
+from itertools import accumulate, chain, repeat, starmap
+from operator import itemgetter, mul, sub, xor
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
 _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 _NAME_CHARS = _NAME_START | set("0123456789_")
+_ODD = (1).__and__  # t -> t & 1, true for an odd doubled exponent
 
 
 class AlgebraError(ValueError):
@@ -124,30 +131,33 @@ class _Packing:
     Packing is additive, so a product's packed key is the sum of its
     factors' keys, and its field i holds t_i + 2^(w-1) with no carry between
     fields.  Flipping each field's top bit leaves t_i in two's complement,
-    which ``struct`` reads back in one call per distinct key."""
+    which ``struct`` reads back in one call per distinct key.  Packing runs
+    the other way: ``struct`` writes the fields in two's complement, and
+    flipping their top bits and subtracting the bias leaves t_i + 2^(w-2)."""
 
-    __slots__ = ("shifts", "bias", "mask", "nbytes", "unpack")
+    __slots__ = ("bias", "mask", "nbytes", "encode", "unpack")
 
     def __init__(self, nvars: int, size: int):
         width = 8 * size
-        self.shifts = range(0, width * nvars, width)
-        self.bias = sum(1 << (s + width - 2) for s in self.shifts)
+        self.bias = sum(1 << (width * i + width - 2) for i in range(nvars))
         self.mask = 2 * self.bias
         self.nbytes = size * nvars
         if size <= 8:
-            self.unpack = struct.Struct(f"<{nvars}{'bhiq'[size.bit_length() - 1]}").unpack
+            layout = struct.Struct(f"<{nvars}{'bhiq'[size.bit_length() - 1]}")
+            self.encode, self.unpack = layout.pack, layout.unpack
         else:
+            self.encode = lambda *key: b"".join(t.to_bytes(size, "little", signed=True) for t in key)
             self.unpack = lambda raw: tuple(int.from_bytes(raw[i:i + size], "little", signed=True)
                                             for i in range(0, self.nbytes, size))
 
-    def key(self, key: tuple[int, ...]) -> int:
-        """The packed form of one exponent vector."""
-        return sum(map(lshift, key, self.shifts)) + self.bias
+    def keys(self, keys: Iterable[tuple[int, ...]]) -> Iterator[int]:
+        """The packed forms of these exponent vectors, in order."""
+        raw = map(int.from_bytes, starmap(self.encode, keys), repeat("little"))
+        return map(sub, map(xor, raw, repeat(self.mask)), repeat(self.bias))
 
-    def pack(self, items: Iterable[tuple[tuple[int, ...], int]]) -> list[tuple[int, int]]:
-        """(exponent vector, value) pairs as (packed key, value) pairs."""
-        shifts, bias = self.shifts, self.bias
-        return [(sum(map(lshift, key, shifts)) + bias, num) for key, num in items]
+    def pack(self, nums: Mapping[tuple[int, ...], int]) -> list[tuple[int, int]]:
+        """The (packed key, value) pairs of a map from exponent vectors."""
+        return list(zip(self.keys(nums), nums.values()))
 
     def over(self, vars: tuple[str, ...], den: int, nums: Mapping[int, int]) -> "LaurentPoly":
         """``_reduced`` for product terms keyed by packed keys: each distinct
@@ -203,7 +213,7 @@ class LaurentPoly:
     otherwise.
     """
 
-    __slots__ = ("vars", "den", "nums", "_terms")
+    __slots__ = ("vars", "den", "nums", "_terms", "_spans")
 
     def __init__(self, vars: Sequence[str], terms: Mapping[tuple[int, ...], Scalar] | None = None):
         self.vars = tuple(vars)
@@ -315,7 +325,7 @@ class LaurentPoly:
             return _reduced(self.vars, self.den * den, {k: c * num for k, c in self.nums.items()})
         self._check_vars(other)
         packing = _packing(len(self.vars), _bound(chain(self.nums, other.nums)))
-        a, b = packing.pack(self.nums.items()), packing.pack(other.nums.items())
+        a, b = packing.pack(self.nums), packing.pack(other.nums)
         return packing.over(self.vars, self.den * other.den, _mul_into({}, a, b, 1))
 
     __rmul__ = __mul__
@@ -393,6 +403,36 @@ class LaurentPoly:
                 out[new] = out.get(new, 0) + num
         return _reduced(self.vars, self.den, out)
 
+    def _span_cache(self) -> tuple[tuple[int, int, int | None, int | None], ...]:
+        """Per variable, ``(lo, hi, odd, twin)`` of its column of doubled
+        exponents: the least and greatest, the first odd one in term order
+        (None when there is none), and the first earlier variable whose
+        column differs from this one by a constant in every term (None when
+        there is none, and for a constant column).  Computed on first use and
+        kept, like ``terms``; an empty polynomial has the span 0..0
+        everywhere."""
+        try:
+            return self._spans
+        except AttributeError:
+            pass
+        nums = self.nums
+        spans: list[tuple[int, int, int | None, int | None]] = []
+        # one column at a time, read through itemgetter: no transposed copy of the keys
+        for column in map(itemgetter, range(len(self.vars))):
+            distinct = dict.fromkeys(map(column, nums)) or {0: None}  # in order of first occurrence
+            lo, hi = min(distinct), max(distinct)
+            twin = None
+            if lo != hi:
+                for j, (lo_j, hi_j, _, twin_j) in enumerate(spans):
+                    if (twin_j is None and hi_j - lo_j == hi - lo
+                            and all(map((lo - lo_j).__eq__,
+                                        map(sub, map(column, nums), map(itemgetter(j), nums))))):
+                        twin = j
+                        break
+            spans.append((lo, hi, next(filter(_ODD, distinct), None), twin))
+        self._spans = tuple(spans)
+        return self._spans
+
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a rational point.
 
@@ -403,17 +443,21 @@ class LaurentPoly:
         a/b whose exponents span [lo, hi], a term's factor (a/b)^e is scaled
         to the integer a^(e-lo) b^(hi-e), read from a power table; the
         numerators' total is divided once, by ``den`` times the product of
-        the a^-lo b^hi.
+        the a^-lo b^hi.  The spans come from ``_span_cache``, so a second
+        point costs no scan of the exponents.  A constant column needs no
+        table.  A column that is an earlier one shifted by a constant (x and
+        v, z and u in every ``D^n(z)`` and ``D^n(w)`` under ``G``) picks the
+        same entry in every term, so its table is folded into the earlier
+        one's, entry by entry.  Each term then costs one lookup and one
+        product per table, in a ``map`` pipeline over the columns.
         """
         values = {name: _ratio(point[name]) for name in self.vars if name in point}
+        spans = self._span_cache()
         num, den = 1, self.den
-        tables: list[dict[int, int]] = []  # per variable: doubled exponent -> scaled factor
-        for name, column in zip(self.vars, zip(*self.nums)):
-            lo, hi = min(column), max(column)
+        tables: dict[int, dict[int, int]] = {}  # per variable: doubled exponent -> scaled factor
+        for i, (name, (lo, hi, odd, twin)) in enumerate(zip(self.vars, spans)):
             if lo == hi == 0:
-                tables.append({0: 1})
                 continue
-            odd = next((t for t in column if t % 2), None)
             if odd is not None:
                 raise AlgebraError(f"cannot evaluate half-integer exponent {name}^{_exp_str(odd)}")
             if name not in values:
@@ -422,12 +466,6 @@ class LaurentPoly:
             lo, hi = lo // 2, hi // 2
             if lo < 0 and a == 0:
                 raise AlgebraError(f"zero raised to negative power {lo}")
-            a_pows, b_pows = [1], [1]
-            for _ in range(hi - lo):
-                a_pows.append(a_pows[-1] * a)
-                b_pows.append(b_pows[-1] * b)
-            tables.append({2 * (lo + k): a_pows[k] * b_pows[hi - lo - k]
-                           for k in range(hi - lo + 1)})
             # the value is the scaled sum times a^lo b^-hi
             if lo >= 0:
                 num *= a ** lo
@@ -437,9 +475,20 @@ class LaurentPoly:
                 num *= b ** -hi
             else:
                 den *= b ** hi
-        total = sum(math.prod(map(getitem, tables, key), start=coeff)
-                    for key, coeff in self.nums.items())
-        return Fraction(total * num, den)
+            if lo == hi:
+                continue
+            a_pows = accumulate(repeat(a, hi - lo), mul, initial=1)
+            b_pows = list(accumulate(repeat(b, hi - lo), mul, initial=1))
+            scaled = map(mul, a_pows, reversed(b_pows))
+            if twin is None:
+                tables[i] = dict(zip(range(2 * lo, 2 * hi + 1, 2), scaled))
+            else:  # the same entry in every term: fold this table into its twin's
+                table = tables[twin]
+                tables[twin] = dict(zip(table, map(mul, table.values(), scaled)))
+        total = self.nums.values()
+        for i, table in tables.items():
+            total = map(mul, total, map(table.__getitem__, map(itemgetter(i), self.nums)))
+        return Fraction(sum(total) * num, den)
 
     def with_vars(self, vars: Sequence[str]) -> "LaurentPoly":
         """Re-express over another variable set (drop unused, reorder, extend)."""

@@ -694,14 +694,15 @@ def run_check(check_id: str, n_max: int | None = None, order: int | None = None,
 def run_many(ids: Sequence[str], n_max: int | None = None, order: int | None = None,
              tol: float | None = None, jobs: int = 1) -> list[Report]:
     """Run several checks, optionally in a process pool; reports come back
-    in registry order regardless of completion order."""
+    in registry order regardless of completion order.  The pool has at most
+    one worker per check: on Linux it starts every worker up front."""
     ordered = [check_id for check_id in REGISTRY if check_id in set(ids)]
     unknown = set(ids) - set(ordered)
     if unknown:
         raise UnknownCheckError(f"unknown check ids: {', '.join(sorted(unknown))}")
     if jobs > 1 and len(ordered) > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(ordered))) as pool:
             return list(pool.map(functools.partial(run_check, n_max=n_max, order=order, tol=tol),
                                  ordered))
     return [run_check(cid, n_max=n_max, order=order, tol=tol) for cid in ordered]

@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import math
+import pickle
+import random
+from fractions import Fraction
 from fractions import Fraction as F
+from operator import getitem
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from permgram.algebra import AlgebraError, LaurentPoly, monomial_str, parse_poly
+from permgram.algebra import AlgebraError, LaurentPoly, _exp_str, _ratio, monomial_str, parse_poly
+from permgram.grammar import builtin, gen_coeffs
 
 VARS = ("x", "y", "z", "w", "u", "v")
 
@@ -398,3 +403,173 @@ def test_evaluate_common_denominator_edges():
     for text in ("x^3*z^2 + x^5", "x^-2*z^-1 - 3/4*x^-4", "y^2*x + x^-1", "y^3", "7"):
         p = poly(text, SMALL_VARS)
         assert p.evaluate(point) == reference_evaluate(SMALL_VARS, reference_terms(p), point)
+
+
+# -- the span cache and the column pipeline against the per-point scan ----------------
+
+
+def parent_evaluate(self, point):
+    """``LaurentPoly.evaluate`` before the span cache and the column
+    pipeline, kept verbatim: it scans every exponent column at each point
+    and looks up one table per variable in every term.  It is the reference
+    for values and for errors, type and message alike."""
+    values = {name: _ratio(point[name]) for name in self.vars if name in point}
+    num, den = 1, self.den
+    tables: list[dict[int, int]] = []  # per variable: doubled exponent -> scaled factor
+    for name, column in zip(self.vars, zip(*self.nums)):
+        lo, hi = min(column), max(column)
+        if lo == hi == 0:
+            tables.append({0: 1})
+            continue
+        odd = next((t for t in column if t % 2), None)
+        if odd is not None:
+            raise AlgebraError(f"cannot evaluate half-integer exponent {name}^{_exp_str(odd)}")
+        if name not in values:
+            raise AlgebraError(f"unbound variable {name!r}")
+        a, b = values[name]
+        lo, hi = lo // 2, hi // 2
+        if lo < 0 and a == 0:
+            raise AlgebraError(f"zero raised to negative power {lo}")
+        a_pows, b_pows = [1], [1]
+        for _ in range(hi - lo):
+            a_pows.append(a_pows[-1] * a)
+            b_pows.append(b_pows[-1] * b)
+        tables.append({2 * (lo + k): a_pows[k] * b_pows[hi - lo - k]
+                       for k in range(hi - lo + 1)})
+        # the value is the scaled sum times a^lo b^-hi
+        if lo >= 0:
+            num *= a ** lo
+        else:
+            den *= a ** -lo
+        if hi <= 0:
+            num *= b ** -hi
+        else:
+            den *= b ** hi
+    total = sum(math.prod(map(getitem, tables, key), start=coeff)
+                for key, coeff in self.nums.items())
+    return Fraction(total * num, den)
+
+
+TWIN_VARS = ("x", "y", "z", "w")
+
+
+@st.composite
+def shifted_polys(draw):
+    """Polynomials over TWIN_VARS whose columns are often an earlier
+    column shifted by a constant, the case where two variables share one
+    power table.  Exponents may be negative, an odd shift makes a column of
+    half exponents, one entry may be made odd, and a column may be constant
+    or zero."""
+    size = draw(st.integers(min_value=0, max_value=6))
+    exponents = st.integers(min_value=-3, max_value=3)
+    columns = [[2 * draw(exponents) for _ in range(size)]]
+    while len(columns) < len(TWIN_VARS):
+        kind = draw(st.sampled_from(["shift", "shift", "shift", "free", "constant", "zero"]))
+        if kind == "shift":
+            shift = 2 * draw(st.integers(min_value=-2, max_value=2))
+            if draw(st.integers(min_value=0, max_value=11)) == 0:
+                shift += 1  # a column of half exponents
+            columns.append([t + shift for t in draw(st.sampled_from(columns))])
+        elif kind == "free":
+            columns.append([2 * draw(exponents) for _ in range(size)])
+        else:
+            columns.append([2 * draw(exponents) if kind == "constant" else 0] * size)
+    if size and draw(st.integers(min_value=0, max_value=9)) == 0:
+        column = draw(st.sampled_from(columns))
+        column[draw(st.integers(min_value=0, max_value=size - 1))] += 1
+    order = draw(st.permutations(range(len(TWIN_VARS))))
+    terms: dict = {}
+    for key in zip(*(columns[j] for j in order)):
+        terms[key] = terms.get(key, 0) + draw(COEFFS)
+    return LaurentPoly(TWIN_VARS, terms)
+
+
+@st.composite
+def point_lists(draw):
+    """One to three points over TWIN_VARS: now and then a coordinate is 0,
+    a variable is left unbound, or one bound value, of a variable in the set
+    or of one outside it, is not an exact rational."""
+    values = st.one_of(st.integers(min_value=-3, max_value=3),
+                       st.fractions(min_value=-4, max_value=4, max_denominator=7)).filter(bool)
+    points = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        point = {name: draw(values) for name in TWIN_VARS}
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            point[draw(st.sampled_from(TWIN_VARS))] = 0
+        if draw(st.integers(min_value=0, max_value=7)) == 0:
+            del point[draw(st.sampled_from(TWIN_VARS))]
+        if draw(st.integers(min_value=0, max_value=7)) == 0:
+            point[draw(st.sampled_from(TWIN_VARS + ("q",)))] = 1.5
+        points.append(point)
+    return points
+
+
+def outcome(evaluate, p, point):
+    """The value of ``evaluate(p, point)``, or the type and message of its error."""
+    try:
+        value = evaluate(p, point)
+    except (AlgebraError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    assert type(value) is F
+    return value
+
+
+def twin_example(text, points):
+    return example(poly(text, TWIN_VARS), points)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shifted_polys(), point_lists())
+# z's column is x's plus 4, through negative exponents, at a zero x
+@twin_example("x^-1*z - 2*x*z^3 + 3/2*x^2*z^4", [{"x": 2, "y": 5, "z": F(-1, 3), "w": 1},
+                                                 {"x": 0, "y": 1, "z": 1, "w": 1}])
+# x's column is y's plus 1/2: x passes its checks, then y's first odd exponent is
+# reported, before y's being unbound or 0
+@twin_example("x*y^1/2 + x^2*y^3/2", [{"x": 1, "y": 4, "z": 0, "w": 2}, {"x": 1}, {"x": 1, "y": 0}])
+# twins at a zero coordinate under positive powers, and then an unbound twin
+@twin_example("x*w - 5*x^2*w^2 + y^3*x^2*w^2", [{"x": 0, "y": 2, "z": 3, "w": F(2, 3)},
+                                                {"x": 3, "y": 2, "z": 3}])
+# a float for a variable that occurs, for one in the set that does not, for one outside it
+@twin_example("x*y*w", [{"x": 1, "y": 1.5, "z": 1, "w": 1}, {"x": 1, "y": 2, "z": 1.5, "w": 1},
+                        {"x": 1, "y": 2, "w": 1, "q": 1.5}])
+# a constant column, and the zero polynomial
+@twin_example("x^-2*y + 7*x^-2*y^3", [{"x": F(-2, 5), "y": 3}])
+@twin_example("0", [{"x": 1.5}, {}])
+def test_evaluate_matches_the_per_point_scan(p, points):
+    # one polynomial at several points in turn, so later points read the cache
+    for point in points:
+        assert outcome(LaurentPoly.evaluate, p, point) == outcome(parent_evaluate, p, point)
+    copy = pickle.loads(pickle.dumps(p))
+    assert copy == p
+    for point in points:
+        assert outcome(LaurentPoly.evaluate, copy, point) == outcome(parent_evaluate, p, point)
+
+
+def test_the_span_cache_holds_one_small_entry_per_variable():
+    g = builtin("G")
+    point = {name: F(k, 16) for name, k in zip(VARS, (9, 13, 17, 21, 25, 31))}
+    for seed in ("z", "w"):
+        p = gen_coeffs(g, g.poly(seed), 12)[-1]
+        value = p.evaluate(point)
+        spans = p._span_cache()
+        assert len(spans) == len(VARS)
+        for entry in spans:
+            assert len(entry) == 4 and all(item is None or type(item) is int for item in entry)
+        # v's column is x's and u's is z's, shifted: four power tables instead of six
+        twins = {VARS[i]: VARS[entry[3]] for i, entry in enumerate(spans) if entry[3] is not None}
+        assert twins == {"v": "x", "u": "z"}
+        assert value == parent_evaluate(p, point)
+
+
+def test_chains_under_G_evaluate_as_the_fraction_definition():
+    g = builtin("G")
+    rng = random.Random(22)
+    points = []
+    while len(points) < 3:
+        point = {name: F(rng.randrange(9, 32, 2), 16) for name in VARS}
+        if abs(point["x"] * point["v"] - point["z"] * point["u"]) >= F(1, 4):
+            points.append(point)
+    for seed in ("z", "w"):
+        for n, p in enumerate(gen_coeffs(g, g.poly(seed), 12)):
+            for point in points:
+                assert p.evaluate(point) == reference_evaluate(VARS, reference_terms(p), point), (seed, n)

@@ -384,3 +384,35 @@ def test_run_many_parallel():
     reports = run_many(["thm-P", "conv", "pcf-closed"], n_max=3, jobs=2)
     assert [r.spec.check_id for r in reports] == ["thm-P", "conv", "pcf-closed"]
     assert all(r.passed for r in reports)
+
+
+def test_the_pool_has_at_most_one_worker_per_check(monkeypatch):
+    # on Linux a ProcessPoolExecutor forks all max_workers workers up front, so
+    # --jobs 64 must not ask for more workers than there are checks; the
+    # stand-in pool records its size and runs the checks in this process
+    import concurrent.futures
+    import multiprocessing
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    ids = ["thm-P", "conv", "pcf-closed"]
+    for jobs in (64, 3, 2):
+        reports = run_many(ids, n_max=3, jobs=jobs)
+        assert [r.spec.check_id for r in reports] == ids
+        assert all(r.passed for r in reports)
+    assert sizes == [3, 3, 2]
+    assert multiprocessing.active_children() == []

@@ -343,16 +343,39 @@ def assert_normal(p: LaurentPoly) -> None:
         assert type(coeff) is int or (type(coeff) is F and coeff.denominator != 1), coeff
 
 
+# ``Grammar.derive`` sums an input term by term below ``_COLUMN_TERMS`` terms
+# and column by column from there; each threshold here sends every input down
+# one of the two ways
+SUM_BY_TERM, SUM_BY_COLUMN = 10 ** 9, 0
+
+
+def derive_both_ways(grammar, poly):
+    """``grammar.derive(poly)``, checked to be the same polynomial summed
+    term by term and column by column."""
+    results = []
+    for threshold in (SUM_BY_TERM, SUM_BY_COLUMN):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grammar_module, "_COLUMN_TERMS", threshold)
+            results.append(grammar.derive(poly))
+    assert results[0] == results[1]
+    assert_normal(results[1])
+    return results[0]
+
+
 @pytest.mark.parametrize("name,seed", [("G", "z"), ("G", "w"), ("G", "x^-1/2*z^-1/2"),
                                        ("g1", "x"), ("g2", "x"), ("g3", "z")])
 def test_chain_renders_as_the_fraction_reference(name, seed):
     grammar = builtin(name)
-    terms = {key: F(coeff) for key, coeff in grammar.poly(seed).terms.items()}
-    for n, poly in enumerate(gen_coeffs(grammar, grammar.poly(seed), 12)):
-        assert poly.terms == terms, n
-        assert str(poly) == fraction_str(grammar.vars, terms), n
-        assert_normal(poly)
-        terms = reference_derive(grammar, terms)
+    for threshold in (SUM_BY_TERM, SUM_BY_COLUMN):
+        terms = {key: F(coeff) for key, coeff in grammar.poly(seed).terms.items()}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grammar_module, "_COLUMN_TERMS", threshold)
+            chain = gen_coeffs(grammar, grammar.poly(seed), 12)
+        for n, poly in enumerate(chain):
+            assert poly.terms == terms, (threshold, n)
+            assert str(poly) == fraction_str(grammar.vars, terms), (threshold, n)
+            assert_normal(poly)
+            terms = reference_derive(grammar, terms)
 
 
 @st.composite
@@ -367,14 +390,23 @@ def mixed_polys(draw, max_terms):
     return LaurentPoly(FLOW_VARS, terms)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.tuples(mixed_polys(2), mixed_polys(2), mixed_polys(2)), mixed_polys(3))
+def flow_polys_of(*texts):
+    return tuple(parse_poly(text, FLOW_VARS) for text in texts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(mixed_polys(3), mixed_polys(3), mixed_polys(3)), mixed_polys(4))
+# multi-term rules with rational coefficients and half and negative exponents
+@example(flow_polys_of("1/2*a^1/2*b^-1 - 3*c + 2/3", "a^-1 + 5/4*b^3/2*c", "-7/3*a*b*c^-1/2"),
+         parse_poly("a^1/2*b^-1/2 + 2/5*c^-2 - a*b*c", FLOW_VARS))
+# a rule of one term with a coefficient other than 1, and a rule that is 0
+@example(flow_polys_of("-2*b", "3/4*a^-1/2", "0"), parse_poly("a^3*b^-1 + c - 1/3*a*c^5/2", FLOW_VARS))
 def test_derive_matches_the_fraction_definition(rules, seed):
     grammar = Grammar(FLOW_VARS, rules)
     terms = {key: F(coeff) for key, coeff in seed.terms.items()}
     poly = seed
     for n in range(1, 4):
-        poly, terms = grammar.derive(poly), reference_derive(grammar, terms)
+        poly, terms = derive_both_ways(grammar, poly), reference_derive(grammar, terms)
         assert poly.terms == terms, n
         assert_normal(poly)
 
@@ -386,11 +418,17 @@ def test_derive_at_every_packing_width(t):
                                   LaurentPoly(FLOW_VARS, {(-t, t, 2): -2}),
                                   LaurentPoly(FLOW_VARS, {(2, 2, 2): F(5, 2)})))
     seed = LaurentPoly(FLOW_VARS, {(t, -t, 1): 3, (1 - t, 0, t): F(-1, 2)})
-    poly, terms = seed, {key: F(coeff) for key, coeff in seed.terms.items()}
-    for n in range(1, 3):
-        poly, terms = grammar.derive(poly), reference_derive(grammar, terms)
-        assert poly.terms == terms, n
-        assert_normal(poly)
+    # and an input whose widest exponent is negative, under rules of small exponents
+    narrow = Grammar(FLOW_VARS, (LaurentPoly(FLOW_VARS, {(2, 0, 0): 1, (0, 1, 0): F(2, 3)}),
+                                 LaurentPoly(FLOW_VARS, {(0, 2, -2): -1}),
+                                 LaurentPoly(FLOW_VARS, {(1, 0, 2): 3})))
+    wide = LaurentPoly(FLOW_VARS, {(-t, 2, 1): 3, (2, 1 - t, 0): F(-1, 2), (0, 0, -t): 1})
+    for grammar, seed in ((grammar, seed), (narrow, wide)):
+        poly, terms = seed, {key: F(coeff) for key, coeff in seed.terms.items()}
+        for n in range(1, 3):
+            poly, terms = derive_both_ways(grammar, poly), reference_derive(grammar, terms)
+            assert poly.terms == terms, n
+            assert_normal(poly)
 
 
 # -- gen_product over one denominator per stream against the Fraction definition -------
