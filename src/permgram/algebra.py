@@ -14,9 +14,9 @@ and unpacks each distinct key of the result once.
 
 Like ``terms``, each polynomial keeps from first use a few facts per
 variable about its column of exponents, and nothing per term
-(``_span_cache``); ``evaluate`` and ``Grammar.derive`` read them instead of
-rescanning the exponents, and run their per-term work as ``map`` pipelines
-over the columns.
+(``_span_cache``); ``evaluate`` reads them instead of rescanning the
+exponents, and runs its per-term work as ``map`` pipelines over the
+columns.
 
 Everything here is an immutable value; operations are pure functions and
 safe to share across threads.  Two polynomials built in different term

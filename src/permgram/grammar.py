@@ -37,8 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from importlib import resources
-from itertools import compress, repeat
-from operator import add, is_, itemgetter, mul
+from operator import is_, mul
 from pathlib import Path
 from typing import Mapping
 
@@ -97,26 +96,25 @@ class Grammar:
         denominator d, and the term of v_i^(t/2) contributes num * t * rcoeff
         with t the doubled exponent; the result is over 2 d r, reduced by
         one gcd.  Exponent vectors are packed into ints, so shifting a key by
-        a rule's delta is one int addition.  An input of ``_COLUMN_TERMS``
-        terms or more is summed column by column, with the packing's width
-        read from its cached exponent spans; a smaller one term by term."""
+        a rule's delta is one int addition."""
         if p.vars != self.vars:
             raise AlgebraError(
                 f"polynomial over {p.vars} fed to grammar over {self.vars}")
         r, bound, rows = self._deltas
-        if len(p.nums) >= _COLUMN_TERMS:
-            spans = p._span_cache()
-            width = max(max(-lo, hi) for lo, hi, _, _ in spans)
-        else:
-            spans, width = None, _bound(p.nums)
-        packing = _packing(len(self.vars), max(bound, width))
+        packing = _packing(len(self.vars), max(bound, _bound(p.nums)))
         deltas = self._packed_deltas.get(packing)
         if deltas is None:
             deltas = self._packed_deltas[packing] = [packing.pack(row) for row in rows]
-        if spans is None:
-            out = _sum_by_term(p, packing, deltas)
-        else:
-            out = _sum_by_column(p, spans, packing, deltas)
+        out: dict[int, int] = {}
+        get = out.get
+        for packed, (key, coeff) in zip(packing.keys(p.nums), p.nums.items()):
+            for i, t in enumerate(key):
+                if t == 0:
+                    continue
+                factor = coeff * t
+                for delta, rcoeff in deltas[i]:
+                    nkey = packed + delta
+                    out[nkey] = get(nkey, 0) + factor * rcoeff
         return packing.over(self.vars, 2 * p.den * r, out)
 
     def __eq__(self, other: object) -> bool:
@@ -125,50 +123,6 @@ class Grammar:
         return self.vars == other.vars and self.rules == other.rules
 
     __hash__ = None
-
-
-# Inputs of this many terms or more are summed column by column.  Measured on
-# the D^n(z) chain under G, the column sums win from about 30 terms when the
-# spans are already cached, and from about 200 when the span scan is counted.
-# A chain's polynomials are often evaluated next, which reuses the spans.
-_COLUMN_TERMS = 128
-
-
-def _sum_by_term(p: LaurentPoly, packing, deltas: list) -> dict[int, int]:
-    """D(p)'s numerators keyed by packed exponent vector, term by term."""
-    out: dict[int, int] = {}
-    get = out.get
-    for packed, (key, coeff) in zip(packing.keys(p.nums), p.nums.items()):
-        for i, t in enumerate(key):
-            if t:
-                factor = coeff * t
-                for delta, rcoeff in deltas[i]:
-                    nkey = packed + delta
-                    out[nkey] = get(nkey, 0) + factor * rcoeff
-    return out
-
-
-def _sum_by_column(p: LaurentPoly, spans: tuple, packing, deltas: list) -> dict[int, int]:
-    """``_sum_by_term`` for a large input: for each variable v_i and each
-    term of its rule, a pipeline of ``map``, ``compress`` and ``filter``
-    over the exponent column i picks the terms with t != 0 and forms their
-    shifted keys and their values num * t * rcoeff, so the Python loop only
-    adds them into the result."""
-    keys, coeffs = p.nums, p.nums.values()
-    packed = list(packing.keys(keys))
-    out: dict[int, int] = {}
-    get = out.get
-    for i, (lo, hi, _, _) in enumerate(spans):
-        if lo == hi == 0:
-            continue
-        column = itemgetter(i)
-        for delta, rcoeff in deltas[i]:
-            # coeff * t is 0 exactly where t is, so filter(None) keeps the live terms
-            values = filter(None, map(mul, coeffs, map(column, keys)))
-            for key, value in zip(map(add, compress(packed, map(column, keys)), repeat(delta)),
-                                  values if rcoeff == 1 else map(mul, values, repeat(rcoeff))):
-                out[key] = get(key, 0) + value
-    return out
 
 
 def gen_coeffs(grammar: Grammar, seed: LaurentPoly, order: int) -> list[LaurentPoly]:

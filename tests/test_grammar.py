@@ -343,39 +343,16 @@ def assert_normal(p: LaurentPoly) -> None:
         assert type(coeff) is int or (type(coeff) is F and coeff.denominator != 1), coeff
 
 
-# ``Grammar.derive`` sums an input term by term below ``_COLUMN_TERMS`` terms
-# and column by column from there; each threshold here sends every input down
-# one of the two ways
-SUM_BY_TERM, SUM_BY_COLUMN = 10 ** 9, 0
-
-
-def derive_both_ways(grammar, poly):
-    """``grammar.derive(poly)``, checked to be the same polynomial summed
-    term by term and column by column."""
-    results = []
-    for threshold in (SUM_BY_TERM, SUM_BY_COLUMN):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(grammar_module, "_COLUMN_TERMS", threshold)
-            results.append(grammar.derive(poly))
-    assert results[0] == results[1]
-    assert_normal(results[1])
-    return results[0]
-
-
 @pytest.mark.parametrize("name,seed", [("G", "z"), ("G", "w"), ("G", "x^-1/2*z^-1/2"),
                                        ("g1", "x"), ("g2", "x"), ("g3", "z")])
 def test_chain_renders_as_the_fraction_reference(name, seed):
     grammar = builtin(name)
-    for threshold in (SUM_BY_TERM, SUM_BY_COLUMN):
-        terms = {key: F(coeff) for key, coeff in grammar.poly(seed).terms.items()}
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(grammar_module, "_COLUMN_TERMS", threshold)
-            chain = gen_coeffs(grammar, grammar.poly(seed), 12)
-        for n, poly in enumerate(chain):
-            assert poly.terms == terms, (threshold, n)
-            assert str(poly) == fraction_str(grammar.vars, terms), (threshold, n)
-            assert_normal(poly)
-            terms = reference_derive(grammar, terms)
+    terms = {key: F(coeff) for key, coeff in grammar.poly(seed).terms.items()}
+    for n, poly in enumerate(gen_coeffs(grammar, grammar.poly(seed), 12)):
+        assert poly.terms == terms, n
+        assert str(poly) == fraction_str(grammar.vars, terms), n
+        assert_normal(poly)
+        terms = reference_derive(grammar, terms)
 
 
 @st.composite
@@ -406,7 +383,7 @@ def test_derive_matches_the_fraction_definition(rules, seed):
     terms = {key: F(coeff) for key, coeff in seed.terms.items()}
     poly = seed
     for n in range(1, 4):
-        poly, terms = derive_both_ways(grammar, poly), reference_derive(grammar, terms)
+        poly, terms = grammar.derive(poly), reference_derive(grammar, terms)
         assert poly.terms == terms, n
         assert_normal(poly)
 
@@ -426,7 +403,7 @@ def test_derive_at_every_packing_width(t):
     for grammar, seed in ((grammar, seed), (narrow, wide)):
         poly, terms = seed, {key: F(coeff) for key, coeff in seed.terms.items()}
         for n in range(1, 3):
-            poly, terms = derive_both_ways(grammar, poly), reference_derive(grammar, terms)
+            poly, terms = grammar.derive(poly), reference_derive(grammar, terms)
             assert poly.terms == terms, n
             assert_normal(poly)
 

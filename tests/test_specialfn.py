@@ -89,11 +89,17 @@ SAMPLE = {"x": 1.25, "y": 0.75, "z": 1.5, "w": 1.0, "u": 0.5, "v": 1.75}  # xv -
 
 
 def test_gen_values_at_zero_are_the_seeds():
+    assert abs(gen_p_value(SAMPLE, 0.0) - SAMPLE["z"]) < 1e-12
+    assert abs(gen_q_value(SAMPLE, 0.0) - SAMPLE["w"]) < 1e-12
+
+
+def test_gen_values_at_zero_are_the_seeds_over_the_box():
     # Gen(z) and Gen(w) at t = 0 are z and w; the closed forms reach them
-    # through four cylinder functions each, so allow rounding, relatively
-    for point in [SAMPLE, *_box_points(300)]:
-        assert abs(gen_p_value(point, 0.0) - point["z"]) <= 1e-12 * point["z"], point
-        assert abs(gen_q_value(point, 0.0) - point["w"]) <= 1e-12 * point["w"], point
+    # through four cylinder functions each.  The bound is relative 1e-12,
+    # and never looser than an absolute 1e-12
+    for point in _box_points(300):
+        assert abs(gen_p_value(point, 0.0) - point["z"]) < 1e-12 * min(1.0, point["z"]), point
+        assert abs(gen_q_value(point, 0.0) - point["w"]) < 1e-12 * min(1.0, point["w"]), point
 
 
 def test_gen_values_match_truncated_series():
