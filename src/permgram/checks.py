@@ -37,13 +37,14 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from operator import add
+from typing import Callable, Iterator, Sequence
 
 from . import perms, series, specialfn
 from .algebra import LaurentPoly, monomial_str
 from .grammar import Grammar, builtin, builtin_hash, flow_series, gen_coeffs, gen_product
-from .perms import (WEIGHT_VARS, enumerate_poly, involution_count,
-                    label_exterior, label_peak, permutations, specialized_poly, stats)
+from .perms import (WEIGHT_VARS, enumerate_poly, involution_count, permutations,
+                    specialized_poly, stats)
 from .series import Series
 
 F = Fraction
@@ -297,20 +298,59 @@ def _derivative(check_id: str, description: str, grammar: str, seed: str, first:
     return CheckDef(check_id, "exact-symbolic", description, run, n_max=8)
 
 
+# -- brute-force walks ----------------------------------------------------------
+
+#: Permutations per block of a brute-force walk, which compares whole columns
+#: of a block at once; a block's columns stay small next to a run's memory.
+WALK_BLOCK = 240
+
+
+def _walk(rec: Report, n: int, identities: Callable[[list, list], Iterator[tuple]],
+          fact: Callable | None = None) -> None:
+    """Walk S_n a block at a time and record each identity of each block.
+
+    ``identities(block, facts)`` yields, in walk order, (compare, lhs, rhs,
+    label): a comparison of ``rec``, its two sides as lists over the block,
+    and the label a failure names, formatted with the permutation.
+    ``facts`` lists ``fact(perm)`` for the block, computed once, or is the
+    block itself.  A block whose identities all hold only counts them.
+    Otherwise, or when a labeling guard raises, the block is walked again as
+    blocks of one, so the report is the per-permutation walk's: the same
+    first counterexample, and the same count when a guard raises.
+    """
+    walk = permutations(n)
+    for block in iter(lambda: list(itertools.islice(walk, WALK_BLOCK)), []):
+        facts = list(map(fact, block)) if fact else block
+        try:
+            rows = list(identities(block, facts))
+        except AssertionError:  # a labeling guard: the replay raises it
+            rows = None
+        if rows is not None and all(lhs == rhs for _, lhs, rhs, _ in rows):
+            rec.checked += len(rows) * len(block)
+            continue
+        for perm, one in zip(block, facts):
+            for compare, lhs, rhs, label in identities([perm], [one]):
+                compare(lhs[0], rhs[0], label, perm)
+
+
 # -- exact-symbolic runners ----------------------------------------------------
 
 
 def _run_insertion(spec: CheckSpec, rec: Report) -> None:
     g = rec.grammar("G")
     perms._require_cap(spec.n_max)  # refuse n_max before walking any S_n
+    derive = functools.cache(lambda key: g.derive(perms._monomials([key])))  # once per weight
+
+    def identities(block: list, _) -> Iterator[tuple]:
+        cols, size = list(zip(*block)), len(block)
+        slots = [perms._weight_keys(perms._label_columns(child, size, perms._EXTERIOR))
+                 for child in perms._insertion_columns(cols, size)]
+        parents = perms._weight_keys(perms._label_columns(cols, size, perms._EXTERIOR))
+        yield (rec.poly_equal, list(map(perms._monomials, zip(*slots))),
+               list(map(derive, parents)), "insertion step at {}")
+
     for n in range(spec.n_max + 1):
-        for perm in permutations(n):
-            terms: dict = {}
-            for child in perms.insertion_children(perm):
-                for key, coeff in label_exterior(child).weight.terms.items():
-                    terms[key] = terms.get(key, 0) + coeff
-            rec.poly_equal(LaurentPoly(WEIGHT_VARS, terms), g.derive(label_exterior(perm).weight),
-                           f"insertion step at {perm or '()'}")
+        _walk(rec, n, identities)
     rec.note(f"summed child weights equal D(weight) for every permutation, n <= {spec.n_max}")
 
 
@@ -382,18 +422,25 @@ def _run_quotient(spec: CheckSpec, rec: Report) -> None:
 
 def _run_stats_id(spec: CheckSpec, rec: Report) -> None:
     perms._require_cap(spec.n_max)
-    pat231, pat321 = (2, 3, 1), (3, 2, 1)
+    q_row = perms._DISTRIBUTIONS["Q"].exponents
+
+    def weights_equal(lhs: tuple, rhs: tuple, label: str, perm: tuple) -> None:
+        rec.poly_equal(perms._monomials([lhs]), perms._monomials([rhs]), label, perm)
+
+    def identities(block: list, facts: list) -> Iterator[tuple]:
+        cols, size, n = list(zip(*block)), len(block), len(block[0])
+        counts = [perms._consecutive_counts(block, pattern) for pattern in ((2, 3, 1), (3, 2, 1))]
+        yield (rec.equal, list(map(add, *counts)), [s.ep2 + s.pdd for s in facts],
+               "consecutive 231+321 vs ep2+pdd at {}")
+        if n >= 1:
+            yield (rec.equal, [s.p1 + s.p2 for s in facts], [s.valleys + 1 for s in facts],
+                   "peak/valley balance at {}")
+            labels = perms._label_columns(cols, size, perms._PEAK)  # raises if a position is unlabeled
+            yield (weights_equal, perms._weight_keys(labels),
+                   [perms._weight_key(q_row(s, n)) for s in facts], "peak labeling weight at {}")
+
     for n in range(spec.n_max + 1):
-        for perm in permutations(n):
-            s = stats(perm)
-            rec.equal(perms.consecutive_count(perm, pat231) + perms.consecutive_count(perm, pat321),
-                      s.ep2 + s.pdd, "consecutive 231+321 vs ep2+pdd at {}", perm)
-            if n >= 1:
-                rec.equal(s.p1 + s.p2, s.valleys + 1, "peak/valley balance at {}", perm)
-                labeling = label_peak(perm)  # raises if a position is unlabeled
-                rec.poly_equal(labeling.weight,
-                               perms._weight(perms._DISTRIBUTIONS["Q"].exponents(s, n)),
-                               "peak labeling weight at {}", perm)
+        _walk(rec, n, identities, stats)
     rec.note(f"consecutive-pattern, peak/valley, and labeling identities hold for n <= {spec.n_max}")
 
 

@@ -31,7 +31,6 @@ so the file parser is exercised on every run:
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -364,6 +363,8 @@ def builtin(name: str) -> Grammar:
 
 def builtin_hash(name: str) -> str:
     """SHA-256 of the grammar file backing a built-in (report provenance)."""
+    import hashlib  # here, not at import time: it loads OpenSSL for this one use
+
     return hashlib.sha256(builtin_source(name).encode("utf-8")).hexdigest()
 
 

@@ -351,6 +351,89 @@ def test_walk_can_fail(check_id, monkeypatch):
     assert report.counterexample == failure
 
 
+def _swapped_q_at_three_231_peaks(monkeypatch):
+    row = perms._DISTRIBUTIONS["Q"]
+
+    def swapped(s, n):  # the Q row with its x and u exponents swapped where ep2 = 3
+        x, y, z, w, u, v = row.exponents(s, n)
+        return (u, y, z, w, x, v) if s.ep2 == 3 else (x, y, z, w, u, v)
+
+    monkeypatch.setitem(perms._DISTRIBUTIONS, "Q", row._replace(exponents=swapped))
+
+
+class _OffOnU3:
+    """A grammar whose derivative is off by the input on terms with u^3."""
+
+    def __init__(self, grammar):
+        self.grammar = grammar
+
+    def derive(self, poly):
+        derived = self.grammar.derive(poly)
+        return derived + poly if any(key[4] == 6 for key in poly.terms) else derived
+
+
+def _derive_off_on_u3(monkeypatch):
+    real = checks.builtin
+    monkeypatch.setattr(checks, "builtin", lambda name: _OffOnU3(real(name)))
+
+
+# A wrong ingredient for each block walk that first shows at the 2,584th
+# permutation of S_7, (4, 5, 3, 6, 2, 7, 1), the first with three exterior
+# 231-peaks: the failure and the count, word for word as the
+# per-permutation walk reported them.
+LATE_WALK_MUTANTS = {
+    "stats-id": (_swapped_q_at_three_231_peaks,
+                 "peak labeling weight at (4, 5, 3, 6, 2, 7, 1): coefficient of y*z^3*w*u^3 "
+                 "is 1 on the left, 0 on the right", 17740),
+    "insertion": (_derive_off_on_u3,
+                  "insertion step at (4, 5, 3, 6, 2, 7, 1): coefficient of z^4*w*u^3 "
+                  "is 0 on the left, 1 on the right", 5914),
+}
+
+
+@pytest.mark.parametrize("check_id", list(LATE_WALK_MUTANTS))
+def test_walk_reports_a_failure_past_the_first_blocks(check_id, monkeypatch):
+    mutate, failure, checked = LATE_WALK_MUTANTS[check_id]
+    late = list(perms.permutations(7)).index((4, 5, 3, 6, 2, 7, 1))
+    assert late == 2583 and late // checks.WALK_BLOCK >= 3
+    mutate(monkeypatch)
+    report = run_check(check_id, n_max=7)
+    assert (report.passed, report.counterexample, report.checked) == (False, failure, checked)
+
+
+# A labeling rule edited so that a double descent labels pi_i, not pi_{i+1}:
+# the scheme's double-label guard trips, and the walk stops where the
+# per-permutation walk stopped, with its message and its count.
+GUARD_MUTANTS = {
+    "stats-id": (perms._PEAK, "AssertionError: position 2 labeled twice (v and y)", 9),
+    "insertion": (perms._EXTERIOR, "AssertionError: position 2 labeled twice (v and y)", 3),
+}
+
+
+@pytest.mark.parametrize("check_id", list(GUARD_MUTANTS))
+def test_walk_stops_at_a_double_label(check_id, monkeypatch):
+    scheme, failure, checked = GUARD_MUTANTS[check_id]
+    monkeypatch.setitem(scheme.rules, (False, True, False), ("y", None))
+    report = run_check(check_id, n_max=7)
+    assert (report.passed, report.counterexample, report.checked) == (False, failure, checked)
+
+
+@pytest.mark.parametrize("check_id, n_max, bound_mb", [("stats-id", 7, 0.2), ("insertion", 6, 0.3)])
+def test_walks_hold_a_block_at_a_time(check_id, n_max, bound_mb):
+    # held a block at a time, the walks peak at about 0.11 and 0.22 MB; whole
+    # S_n as columns (S_7 has 5,040 permutations, S_6 720) goes past the bound
+    import tracemalloc
+
+    assert run_check(check_id, n_max=n_max).passed  # parse the grammar and rank the patterns
+    tracemalloc.start()
+    try:
+        assert run_check(check_id, n_max=n_max).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 1e6
+
+
 def test_stats_id_computes_each_statistic_vector_once(monkeypatch):
     calls = []
 
@@ -376,8 +459,8 @@ def test_stats_id_validates_each_pattern_once(monkeypatch):
     monkeypatch.setattr(perms, "check_permutation", counting)
     monkeypatch.setattr(perms, "_PATTERN_ORDERS", {})  # as in a fresh process
     assert run_check("stats-id", n_max=4).passed
-    # label_peak still validates each of the 33 nonempty permutations
-    assert Counter(callers) == {"consecutive_count": 2, "label_peak": 33}
+    # the blocks come from permutations(n), so the walk validates no permutation
+    assert Counter(callers) == {"_consecutive_counts": 2}
 
 
 def test_run_many_parallel():

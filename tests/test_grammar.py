@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -14,7 +19,7 @@ from hypothesis import strategies as st
 from permgram import grammar as grammar_module
 from permgram.algebra import AlgebraError, LaurentPoly, parse_poly
 from permgram.grammar import (Grammar, GrammarError, builtin, builtin_hash, builtin_names,
-                              flow_series, gen_coeffs, gen_product, load_grammar,
+                              builtin_source, flow_series, gen_coeffs, gen_product, load_grammar,
                               parse_grammar, resolve_grammar)
 
 G = builtin("G")
@@ -30,6 +35,23 @@ def test_builtin_rules():
     assert G.rule("v") == G.poly("x^-1*z*w*u")
     assert set(builtin_names()) == {"G", "g1", "g2", "g3"}
     assert len(builtin_hash("G")) == 64
+
+
+def test_importing_permgram_leaves_hashlib_unloaded():
+    # hashlib maps OpenSSL; only builtin_hash reads it, and imports it when called
+    src = Path(grammar_module.__file__).parents[1]
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import permgram, permgram.cli; "
+            "assert 'hashlib' not in sys.modules, 'importing permgram imported hashlib'; "
+            "from permgram.grammar import builtin_hash, builtin_names; "
+            "print(json.dumps({name: builtin_hash(name) for name in builtin_names()}))")
+    run = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(src)],
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    digests = json.loads(run.stdout)
+    assert digests == {name: hashlib.sha256(builtin_source(name).encode("utf-8")).hexdigest()
+                       for name in builtin_names()}
+    # the digest the pinned verify-all report names
+    assert digests["G"] == "2c0575829fa94f0543d6b6a51a3425ff468eb7e05ac5ba09cb81f6a0ff7ecf69"
 
 
 def test_derive_basics():
