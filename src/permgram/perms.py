@@ -154,8 +154,9 @@ class Labeling:
 
 
 def _weight_key(exponents: Iterable[int]) -> tuple[int, ...]:
-    """The ``LaurentPoly`` key of the monomial over ``WEIGHT_VARS`` with these
-    exponents, in that order: the doubled exponents."""
+    """The ``LaurentPoly`` key of the monomial with these exponents, in the
+    order of its variables (``WEIGHT_VARS`` for a weight): the doubled
+    exponents."""
     return tuple([2 * e for e in exponents])
 
 
@@ -386,35 +387,48 @@ def involution_count(n: int) -> int:
 # to fall at the right parity.  So the distribution over S_n follows from a
 # left-to-right transfer over relative ranks, the consecutive-pattern method
 # of Elizalde & Noy (Consecutive patterns in permutations, Adv. Appl. Math.
-# 2003): after placing k values, only the ranks of the last two among the
-# unplaced values matter for the triples still to come.
+# 2003).  After k values are placed, m = n - k are unplaced; ``below``
+# counts those smaller than pi_k and ``below_prev`` those smaller than
+# pi_{k-1}.  Placing the r-th smallest unplaced value next is a descent
+# exactly when r < below.  Three facts keep a layer to O(m) maps of packed
+# vectors, and its transfer to O(m) merges:
+#
+# 1. After a descent (pi_{k-1} > pi_k) the next triple is a double descent
+#    or a valley, and neither compares pi_{k-1} with pi_{k+1}: a falling
+#    state keeps only ``below``.  F[b] holds the falling states with below
+#    = b, for b in 0..m.
+# 2. After an ascent the map depends only on q = below_prev: every rank
+#    r >= q reached it from the same sources, the states with below = q, by
+#    the same step (a valley or a double rise).  So one map X[q] stands for
+#    the m - q + 1 rising states with below in q..m.  The virtual left zero
+#    is q = 0: no value lies below it, so a peak at pi_1 is of pattern 132.
+# 3. Alternation is a flag, not a count: a vector carries the ``_BREAK``
+#    bit once a descent or an ascent has fallen at the wrong parity, so
+#    vectors that differ only in how often alternation broke are one.
+#
+# With ``S.D`` for the map D with every packed vector shifted by the step S,
+# and FD = _DD+_PDD+_DES, P231 = _EP2+_P2+_DES, P132 = _EP1+_P1+_DES for a
+# double descent and the two peaks, placing rank r gives the next layer:
+#
+#   F'[r] = FD.sum_{b>r} F[b] + P231.sum_{q>r} (m-q+1) X[q]
+#           + P132.(m-r) sum_{q<=r} X[q]
+#   X'[r] = VALLEY.F[r] + DR.sum_{q<=r} X[q]
+#
+# (X[q] stands for rising states with below in q..m, and those with below
+# > r descend to rank r: m-q+1 of them for q > r, m-r for q <= r.)  One
+# pass down over r and one up, each keeping its running sums, give every
+# target.
 #
 # A partial statistic vector is packed into one int, a field per count in
-# StatVector order and a last field counting positions that break the
-# alternation, so extending a prefix adds one int.
+# StatVector order and a last field for the broken-alternation flag, so
+# extending a prefix adds one int.
 
 _FIELD = 16  # bits per count; every count is at most n
 _EP1, _EP2, _PDD, _P1, _P2, _DD, _DR, _VALLEY, _DES, _BREAK = (
     1 << (_FIELD * i) for i in range(10))
+_FD, _P231, _P132 = _DD + _PDD + _DES, _EP2 + _P2 + _DES, _EP1 + _P1 + _DES
 
 _STAT_COUNTS: dict[int, dict[StatVector, int]] = {}
-
-
-def _triple(falling: bool, left_above_right: bool, descent: bool, i: int) -> int:
-    """Packed counts of the triple centred at position i < n.
-
-    ``falling``: pi_{i-1} > pi_i; ``left_above_right``: pi_{i-1} > pi_{i+1}
-    (false for the virtual left zero); ``descent``: pi_i > pi_{i+1}.
-    """
-    if falling:
-        packed = _DD + _PDD + _DES if descent else _VALLEY
-    elif descent:  # a peak; its right neighbour is real, so 132 is strict
-        packed = (_EP2 + _P2 if left_above_right else _EP1 + _P1) + _DES
-    else:
-        packed = _DR
-    if descent != (i % 2 == 1):
-        packed += _BREAK
-    return packed
 
 
 def _unpack(packed: int) -> StatVector:
@@ -423,36 +437,49 @@ def _unpack(packed: int) -> StatVector:
     return StatVector(*fields[:9], alternating=fields[9] == 0)
 
 
+def _merge(target: dict[int, int], source: Mapping[int, int], step: int, weight: int,
+           broken: int) -> None:
+    """Add ``weight`` times ``source`` into ``target``, each packed vector
+    shifted by ``step`` and or-ed with ``broken`` (0 or ``_BREAK``)."""
+    get = target.get
+    for packed, count in source.items():
+        packed = packed + step | broken
+        target[packed] = get(packed, 0) + weight * count
+
+
 def _transfer(n: int) -> dict[StatVector, int]:
     """Multiplicity of each statistic vector over S_n, by the rank transfer."""
     if n == 0:
         return {stats(()): 1}
-    # After k values are placed, a state is (below, below_prev, falling):
-    # the unplaced values smaller than the last value, the same for the
-    # value before it (None for the virtual left zero), and whether that
-    # value is the larger of the two.  Each state maps the packed counts of
-    # the triples centred at positions 1..k-1 to their multiplicity.
-    layer: dict = {(rank, None, False): {0: 1} for rank in range(n)}
-    for k in range(1, n):
-        following: dict = {}
-        for (below, below_prev, falling), vectors in layer.items():
-            for rank in range(n - k):  # place the rank-th smallest unplaced value
-                descent = rank < below
-                step = _triple(falling, below_prev is not None and rank < below_prev,
-                               descent, k)
-                state = rank, below - descent, descent
-                target = following.get(state)
-                if target is None:
-                    target = following[state] = {}
-                get = target.get
-                for packed, count in vectors.items():
-                    packed += step
-                    target[packed] = get(packed, 0) + count
-        layer = following
+    # F = falling and X = rising with pi_1 placed: every pi_1 rises from the zero
+    falling: list[dict[int, int]] = [{} for _ in range(n)]
+    rising: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(n - 1)]
+    for k in range(1, n):  # place pi_{k+1}: the triple centred at pi_k
+        m = n - k
+        # down-up: a descent keeps alternation at an odd k, an ascent at an even k
+        fall_broken, rise_broken = (0, _BREAK) if k % 2 else (_BREAK, 0)
+        fell: list[dict[int, int]] = []  # F'[m-1], ..., F'[0]
+        down: dict[int, int] = {}  # the FD and P231 terms of F'[r]
+        for r in range(m - 1, -1, -1):
+            _merge(down, falling[r + 1], _FD, 1, fall_broken)
+            _merge(down, rising[r + 1], _P231, m - r, fall_broken)
+            fell.append(dict(down))
+        fell.reverse()
+        rose: list[dict[int, int]] = []
+        peak: dict[int, int] = {}  # P132.sum_{q<=r} X[q]
+        rise: dict[int, int] = {}  # DR.sum_{q<=r} X[q]
+        for r in range(m):
+            _merge(peak, rising[r], _P132, 1, fall_broken)
+            _merge(rise, rising[r], _DR, 1, rise_broken)
+            _merge(fell[r], peak, 0, m - r, 0)
+            target = dict(rise)
+            _merge(target, falling[r], _VALLEY, 1, rise_broken)
+            rose.append(target)
+        falling, rising = fell, rose
     counts: dict[StatVector, int] = {}
-    for (_, below_prev, falling), vectors in layer.items():
-        # the triple centred at n meets the right boundary zero
-        step = _DD if falling else (_P1 if below_prev is None else _P2)
+    # the triple centred at n meets the right boundary zero: a double descent
+    # or a peak, of pattern 132 only when pi_{n-1} is the left zero (n = 1)
+    for vectors, step in ((falling[0], _DD), (rising[0], _P1 if n == 1 else _P2)):
         for packed, count in vectors.items():
             s = _unpack(packed + step)
             counts[s] = counts.get(s, 0) + count
@@ -502,19 +529,30 @@ TRIANGLE_TARGETS = tuple(name for name in SPECIALIZED_TARGETS
                          if len(_DISTRIBUTIONS[name].vars) == 1)
 
 
+#: Each distribution polynomial projected, keyed by (row, n), with the S_n
+#: counts it was projected from: a rebound row, or replaced counts, misses.
+_PROJECTIONS: dict[tuple[_Distribution, int], tuple[dict[StatVector, int], LaurentPoly]] = {}
+
+
 def _distribution(kind: str, name: str, n: int) -> LaurentPoly:
-    """Sum over S_n of the monomials the table gives ``name``."""
+    """Sum over S_n of the monomials the table gives ``name``, projected
+    once per row and n."""
     dist = _DISTRIBUTIONS[name]
     if dist.first_n and n < dist.first_n:  # stat_counts rejects negative n itself
         raise ValueError(f"{kind} {name} is defined for n >= {dist.first_n}")
-    terms: dict[tuple[int, ...], int] = {}
-    for s, count in stat_counts(n).items():
-        exps = dist.exponents(s, n)
-        if exps is None:
-            continue
-        key = tuple(2 * e for e in exps)
-        terms[key] = terms.get(key, 0) + count
-    return LaurentPoly(dist.vars, terms)
+    cached = _PROJECTIONS.get((dist, n))
+    if cached is not None and cached[0] is _STAT_COUNTS.get(n):
+        return cached[1]
+    counts = stat_counts(n)
+    # the count of each exponent tuple; None collects the vectors the row leaves out
+    grouped: dict[tuple[int, ...] | None, int] = {}
+    get = grouped.get
+    for exps, count in zip(map(dist.exponents, counts, itertools.repeat(n)), counts.values()):
+        grouped[exps] = get(exps, 0) + count
+    grouped.pop(None, None)
+    poly = _raw(dist.vars, 1, {_weight_key(exps): count for exps, count in grouped.items()})
+    _PROJECTIONS[dist, n] = _STAT_COUNTS[n], poly
+    return poly
 
 
 def enumerate_poly(n: int, family: str) -> LaurentPoly:
@@ -552,6 +590,8 @@ def triangle(target: str, n_max: int) -> list[list[int]]:
     k = 0..deg, rows n = 0..n_max."""
     if target not in TRIANGLE_TARGETS:
         raise ValueError(f"target {target!r} is not univariate; expected one of {TRIANGLE_TARGETS}")
+    if n_max < 0:
+        raise ValueError("n must be nonnegative")
     rows: list[list[int]] = []
     for n in range(n_max + 1):
         poly = specialized_poly(n, target)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 from operator import lt
 from typing import Iterable, Sequence
@@ -17,7 +18,8 @@ from permgram import perms as perms_module
 from permgram.algebra import LaurentPoly, _raw, parse_poly
 from permgram.checks import run_check
 from permgram.grammar import builtin, gen_coeffs
-from permgram.perms import (WALK_CAP, EnumerationCapError, Labeling, consecutive_count,
+from permgram.perms import (_BREAK, _DD, _DES, _DR, _EP1, _EP2, _P1, _P2, _PDD, _VALLEY,
+                            _unpack, WALK_CAP, EnumerationCapError, Labeling, consecutive_count,
                             enumerate_poly, insertion_children, involution_count,
                             label_exterior, label_peak, permutations,
                             specialized_poly, stat_counts, stats,
@@ -555,6 +557,8 @@ def test_triangles():
     assert [row[0] for row in triangle("L", 5)] == [1, 1, 2, 4, 10, 26]
     with pytest.raises(ValueError):
         triangle("T", 3)
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        triangle("Eulerian", -1)
 
 
 def test_enumeration_cap():
@@ -589,6 +593,116 @@ def test_oracle_matches_the_sweep(monkeypatch):
         assert stat_counts(n) == reference_sweep(n), n
 
 
+# The rank transfer as it was before the layers held one map per falling
+# ``below`` and per rising ``below_prev``: O(m^2) states and a merge per
+# (state, rank) pair, each vector counting how often alternation broke.
+
+
+def parent_triple(falling: bool, left_above_right: bool, descent: bool, i: int) -> int:
+    """Packed counts of the triple centred at position i < n.
+
+    ``falling``: pi_{i-1} > pi_i; ``left_above_right``: pi_{i-1} > pi_{i+1}
+    (false for the virtual left zero); ``descent``: pi_i > pi_{i+1}.
+    """
+    if falling:
+        packed = _DD + _PDD + _DES if descent else _VALLEY
+    elif descent:  # a peak; its right neighbour is real, so 132 is strict
+        packed = (_EP2 + _P2 if left_above_right else _EP1 + _P1) + _DES
+    else:
+        packed = _DR
+    if descent != (i % 2 == 1):
+        packed += _BREAK
+    return packed
+
+
+def parent_transfer(n: int) -> dict[StatVector, int]:
+    """Multiplicity of each statistic vector over S_n, by the rank transfer."""
+    if n == 0:
+        return {stats(()): 1}
+    # After k values are placed, a state is (below, below_prev, falling):
+    # the unplaced values smaller than the last value, the same for the
+    # value before it (None for the virtual left zero), and whether that
+    # value is the larger of the two.  Each state maps the packed counts of
+    # the triples centred at positions 1..k-1 to their multiplicity.
+    layer: dict = {(rank, None, False): {0: 1} for rank in range(n)}
+    for k in range(1, n):
+        following: dict = {}
+        for (below, below_prev, falling), vectors in layer.items():
+            for rank in range(n - k):  # place the rank-th smallest unplaced value
+                descent = rank < below
+                step = parent_triple(falling, below_prev is not None and rank < below_prev,
+                                     descent, k)
+                state = rank, below - descent, descent
+                target = following.get(state)
+                if target is None:
+                    target = following[state] = {}
+                get = target.get
+                for packed, count in vectors.items():
+                    packed += step
+                    target[packed] = get(packed, 0) + count
+        layer = following
+    counts: dict[StatVector, int] = {}
+    for (_, below_prev, falling), vectors in layer.items():
+        # the triple centred at n meets the right boundary zero
+        step = _DD if falling else (_P1 if below_prev is None else _P2)
+        for packed, count in vectors.items():
+            s = _unpack(packed + step)
+            counts[s] = counts.get(s, 0) + count
+    return counts
+
+
+def test_oracle_matches_the_parent_transfer(monkeypatch):
+    # past the sweep's reach, against the per-state transfer, from a cold cache
+    monkeypatch.setattr(perms_module, "_STAT_COUNTS", {})
+    for n in range(15):
+        assert stat_counts(n) == parent_transfer(n), n
+
+
+def test_transfer_memory_stays_linear_in_the_states():
+    # one map per falling below and per rising below_prev: the per-state
+    # transfer peaks at about 7.6 MB here
+    tracemalloc.start()
+    try:
+        perms_module._transfer(20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
+
+
+def test_a_rebound_row_is_projected_afresh(monkeypatch):
+    before = enumerate_poly(4, "Q")  # now cached
+    assert enumerate_poly(4, "Q") is before
+    row = perms_module._DISTRIBUTIONS["Q"]
+
+    def swapped(s, n):  # the Q row with its x and u exponents swapped
+        x, y, z, w, u, v = row.exponents(s, n)
+        return u, y, z, w, x, v
+
+    monkeypatch.setitem(perms_module._DISTRIBUTIONS, "Q", row._replace(exponents=swapped))
+    after = enumerate_poly(4, "Q")
+    assert after != before
+    assert after == sum((table_weight("Q", perm) for perm in permutations(4)),
+                        LaurentPoly(VARS))
+    monkeypatch.undo()
+    assert enumerate_poly(4, "Q") == before
+
+
+def test_replacing_the_counts_drops_every_cached_projection(monkeypatch):
+    names = perms_module.ENUMERATED_FAMILIES + perms_module.SPECIALIZED_TARGETS
+    before = {name: perms_module._distribution("row", name, 4) for name in names}
+    identity = stats((1, 2, 3, 4))
+    monkeypatch.setattr(perms_module, "_STAT_COUNTS", {4: {identity: 1}})
+    for name in names:
+        dist = perms_module._DISTRIBUTIONS[name]
+        exps = dist.exponents(identity, 4)
+        expected = LaurentPoly(dist.vars, {} if exps is None else {tuple(2 * e for e in exps): 1})
+        assert perms_module._distribution("row", name, 4) == expected, name
+    monkeypatch.undo()
+    for name in names:
+        assert perms_module._distribution("row", name, 4) == before[name], name
+
+
 def test_stat_counts_is_a_read_only_view():
     counts = stat_counts(4)
     with pytest.raises(TypeError):
@@ -599,10 +713,13 @@ def test_stat_counts_is_a_read_only_view():
 
 
 def test_oracle_beyond_the_sweep():
-    # past brute-force range: closed counts for n <= 12
-    n_max = 12
+    # past brute-force range: closed counts for n <= 24
+    n_max = 24
     zigzag = [  # Euler zigzag numbers: down-up permutations of [n]
-        1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521, 353792, 2702765]
+        1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521, 353792, 2702765, 22368256,
+        199360981, 1903757312, 19391512145, 209865342976, 2404879675441, 29088885112832,
+        370371188237525, 4951498053124096, 69348874393137901, 1015423886506852352,
+        15514534163557086905]
     involutions = [1, 1]
     for n in range(2, n_max + 1):
         involutions.append(involutions[-1] + (n - 1) * involutions[-2])
