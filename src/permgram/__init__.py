@@ -12,7 +12,7 @@ from .perms import (WALK_CAP, EnumerationCapError, Labeling, StatVector,
                     involution_count, label_exterior, label_peak, specialized_poly,
                     stats, triangle)
 from .series import Series, exp_poly, hyp1f1_ct2, trig_sqrt
-from .specialfn import hyp1f1, pcf_d, rgamma
+from .specialfn import pcf_d, rgamma
 from .checks import Report, run_check, run_many
 
 __version__ = "0.1.0"
@@ -25,7 +25,7 @@ __all__ = [
     "consecutive_count", "enumerate_poly", "insertion_children", "involution_count",
     "label_exterior", "label_peak", "specialized_poly", "stats", "triangle",
     "Series", "exp_poly", "hyp1f1_ct2", "trig_sqrt",
-    "hyp1f1", "pcf_d", "rgamma",
+    "pcf_d", "rgamma",
     "Report", "run_check", "run_many",
     "__version__",
 ]

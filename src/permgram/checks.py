@@ -8,18 +8,18 @@ oracle and declares the mode:
 * ``exact-sampled``   -- series identities proved on a deterministic grid
   of rational points sized by the degree bounds of the coefficients (a
   degree-d polynomial coefficient matched at more than d points is matched
-  identically); still exact Fractions throughout.
-* ``numeric``         -- the two Gamma-constant closed forms and the
-  special-function unit suite, checked in floating point against exact
-  truncated series or against each other.
+  identically), the 1F1 rows at three rational triples; exact throughout.
+* ``numeric``         -- the two Gamma-constant closed forms against exact
+  truncated series, and D_a against its closed forms and recurrences, in floats.
 
 Checks of the three common shapes are rows of data, each shape run by one
 loop: a ``_derivative`` row compares D^n(seed) under a built-in grammar with
 an enumeration oracle, a ``_sampled`` row compares closed-form series
-builders with a specialized oracle on sample grids (``_run_samples`` is the
-one caller of a ``series.rhs_*`` builder), and a ``_hyp_identity`` row checks
-a 1F1 identity in floats and as exact series.  Adding a check means adding a
-row (or, for another shape, a runner); the plumbing never changes.
+builders with a specialized oracle on sample grids (``_run_samples`` calls
+every ``series.rhs_*`` builder but ``rhs_involutions``, which
+``_run_involutions`` calls), and a ``_hyp_identity`` row compares the two
+sides of a 1F1 identity as exact series.  Adding a check means adding a row
+(or, for another shape, a runner); the plumbing never changes.
 
 A runner writes the check's ``Report`` itself: it asks the report for the
 built-in grammars it uses and records each comparison on it (``equal``,
@@ -265,22 +265,19 @@ def _sampled(check_id: str, description: str, parts: Sequence[tuple], note: str)
 
 
 def _hyp_identity(check_id: str, description: str,
-                  numeric: Callable[[float, float, float], tuple[complex, complex]],
-                  params: Sequence[tuple[float, float, float]],
-                  exact: Callable[[Fraction, Fraction, Fraction], tuple[Series, Series]],
-                  triples: Sequence[tuple[Fraction, Fraction, Fraction]], note: str) -> CheckDef:
-    """A numeric row for a 1F1 identity: the two float sides ``numeric(a, b, z)``
-    at each of ``params``, then the two order-12 series ``exact(a, b, c)`` of
-    1F1(.; .; c t^2) at each of ``triples``, coefficient by coefficient."""
+                  sides: Callable[[Fraction, Fraction, Fraction], tuple[Series, Series]],
+                  triples: Sequence[tuple[Fraction, Fraction, Fraction]], name: str) -> CheckDef:
+    """An exact-sampled row for a 1F1 identity: the two order-12 series
+    ``sides(a, b, c)`` of 1F1(.; .; c t^2) at each of ``triples``, coefficient
+    by coefficient."""
     def run(spec: CheckSpec, rec: Report) -> None:
-        for a, b, z in params:
-            lhs, rhs = numeric(a, b, z)
-            rec.residual((lhs - rhs).real, spec.tol, f"numeric at (a={a}, b={b}, z={z})")
-        for a, b, c in triples:
-            lhs, rhs = exact(a, b, c)
-            rec.equal(list(lhs.coeffs), list(rhs.coeffs), f"series level at (a={a}, b={b}, c={c})")
-        rec.note(note)
-    return CheckDef(check_id, "numeric", description, run, tol=1e-10)
+        for abc in triples:
+            lhs, rhs = sides(*abc)
+            for n in range(13):
+                rec.equal(lhs[n], rhs[n], "series at (a={}, b={}, c={}), coefficient of t^{}", *abc, n)
+        rec.note(f"{name} holds exactly at series level at {len(triples)} rational (a, b, c), "
+                 "through t^12")
+    return CheckDef(check_id, "exact-sampled", description, run)
 
 
 def _derivative(check_id: str, description: str, grammar: str, seed: str, first: int,
@@ -562,7 +559,7 @@ def _run_pcf_rec(spec: CheckSpec, rec: Report) -> None:
                 residual = r * r * d2 - (r * r / 4) * (arg * arg - 4 * a - 2) * d0
                 rec.residual(residual.real, ode_tol,
                              f"scaled second-derivative identity at (a={a}, r={r:.3f}, z={z})")
-    rec.note("ladder recurrences hold to 1e-10 and the scaled Weber equation to 1e-8")
+    rec.note(f"ladder recurrences hold to {spec.tol:g} and the scaled Weber equation to 1e-8")
 
 
 # -- registry -------------------------------------------------------------------
@@ -674,24 +671,17 @@ _REGISTRY_ENTRIES = (
              "integer-order cylinder functions", _run_pcf_closed, tol=1e-12),
     CheckDef("pcf-rec", "numeric",
              "cylinder ladder recurrences and scaled Weber equation", _run_pcf_rec, tol=1e-10),
-    _hyp_identity("kummer", "Kummer transformation, numeric and series level",
-                  lambda a, b, z: (specialfn.hyp1f1(a, b, z),
-                                   math.exp(z) * specialfn.hyp1f1(b - a, b, -z)),
-                  tuple(itertools.product((0.3, 1.2, -0.7), (0.5, 1.7), (-2.5, -1.0, 0.8, 3.0))),
+    _hyp_identity("kummer", "Kummer transformation at series level",
                   lambda a, b, c: (series.hyp1f1_ct2(a, b, c, 12),
                                    series.exp_poly(0, c, 12) * series.hyp1f1_ct2(b - a, b, -c, 12)),
                   ((F(1, 3), F(5, 2), F(2)), (F(-1, 2), F(1, 2), F(3, 2)), (F(2), F(7, 2), F(-3, 2))),
-                  "Kummer transformation holds numerically and exactly at series level"),
-    _hyp_identity("contiguous", "contiguous 1F1 relation, numeric and series level",
-                  lambda a, b, z: ((1 + a - b) * specialfn.hyp1f1(a, b, z),
-                                   a * specialfn.hyp1f1(a + 1, b, z)
-                                   + (1 - b) * specialfn.hyp1f1(a, b - 1, z)),
-                  tuple(itertools.product((0.4, -1.3), (1.7, 2.5), (-2.0, 1.5))),
+                  "Kummer transformation"),
+    _hyp_identity("contiguous", "contiguous 1F1 relation at series level",
                   lambda a, b, c: ((1 + a - b) * series.hyp1f1_ct2(a, b, c, 12),
                                    a * series.hyp1f1_ct2(a + 1, b, c, 12)
                                    + (1 - b) * series.hyp1f1_ct2(a, b - 1, c, 12)),
                   ((F(1, 3), F(5, 2), F(2)), (F(-2, 3), F(3, 2), F(-1)), (F(5, 4), F(7, 2), F(1, 2))),
-                  "contiguous relation holds numerically and exactly at series level"),
+                  "contiguous relation"),
 )
 
 REGISTRY = {entry.check_id: entry for entry in _REGISTRY_ENTRIES}

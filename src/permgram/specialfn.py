@@ -1,4 +1,4 @@
-"""Floating-point evaluation of reciprocal Gamma, 1F1 and the Weber parabolic
+"""Floating-point evaluation of reciprocal Gamma and the Weber parabolic
 cylinder function, plus the two main closed forms that cannot be checked
 exactly because their constants involve Gamma values.
 
@@ -64,22 +64,6 @@ def rgamma(x: Real) -> float:
     if x <= 0 and float(x).is_integer():
         return 0.0
     return 1.0 / math.gamma(x)
-
-
-def hyp1f1(a: Real, b: Real, z: ComplexLike) -> complex:
-    """1F1(a; b; z) by direct summation; desk-scale |z| only."""
-    if b <= 0 and float(b).is_integer():
-        raise ValueError(f"1F1 parameter b={b} is a nonpositive integer")
-    if abs(z) > 40:
-        raise ConvergenceError(f"|z|={abs(z):.3g} too large for direct summation")
-    total = complex(1.0)
-    term = complex(1.0)
-    for n in range(MAX_TERMS):
-        term = term * (a + n) / (b + n) * z / (n + 1)
-        total += term
-        if abs(term) < TOLERANCE / 10 and n > 3:
-            return total
-    raise ConvergenceError("1F1 summation did not converge within the cutoff")
 
 
 def pcf_d(a: Real, z: ComplexLike) -> complex:

@@ -89,11 +89,13 @@ def test_criterion_07_numeric_closed_forms():
 
 
 def test_criterion_08_special_function_suite():
-    with criterion(8, "cylinder closed forms 1e-12; recurrences and 1F1 identities 1e-10"):
+    with criterion(8, "cylinder closed forms 1e-12; recurrences 1e-10; 1F1 identities exact "
+                      "at series level"):
         run_and_assert("pcf-closed", tol=1e-12)
         run_and_assert("pcf-rec", tol=1e-10)
-        run_and_assert("kummer", tol=1e-10)
-        run_and_assert("contiguous", tol=1e-10)
+        for check_id in ("kummer", "contiguous"):
+            report = run_and_assert(check_id)
+            assert report.spec.tol is None and report.checked == 39
 
 
 def test_criterion_09_statistic_identities():

@@ -115,6 +115,12 @@ def test_genp_num_tolerance_kills_a_small_exponent_drift(monkeypatch):
     assert report.counterexample.startswith("trial 0 at t=")
 
 
+def test_pcf_rec_note_names_the_tolerance_it_held():
+    note = "ladder recurrences hold to {} and the scaled Weber equation to 1e-8"
+    assert run_check("pcf-rec").details == [note.format("1e-10")]
+    assert run_check("pcf-rec", tol=1e-3).details == [note.format("0.001")]
+
+
 def test_numeric_check_fails_a_nan_closed_form(monkeypatch):
     monkeypatch.setattr(specialfn, "gen_p_value", lambda point, t: float("nan"))
     report = run_check("genp-num")
@@ -235,8 +241,10 @@ COUNTS_AT_3 = {
     "genq-num": (5, "peak-scheme closed form matches the exact N=25 truncation at 5 box samples"),
     "pcf-closed": (22, "integer-order cylinder functions match their elementary closed forms"),
     "pcf-rec": (153, "ladder recurrences hold to 1e-10 and the scaled Weber equation to 1e-8"),
-    "kummer": (27, "Kummer transformation holds numerically and exactly at series level"),
-    "contiguous": (11, "contiguous relation holds numerically and exactly at series level"),
+    "kummer": (39, "Kummer transformation holds exactly at series level at 3 rational (a, b, c), "
+                   "through t^12"),
+    "contiguous": (39, "contiguous relation holds exactly at series level at 3 rational "
+                       "(a, b, c), through t^12"),
 }
 
 
@@ -282,6 +290,10 @@ WRONG_BUILDERS = {
     "kitaev": {"rhs_tbar": series.rhs_ttilde},
     "ta": {"rhs_ta_even": series.rhs_ta_odd, "rhs_ta_odd": series.rhs_ta_even},
     "involutions": {"rhs_involutions": lambda order: series.exp_poly(1, 1, order)},
+    # 1F1(a; b; 2c t^2): Kummer's e^{c t^2} no longer matches, while scaling c
+    # keeps the contiguous relation; shifting b by 1 breaks that one
+    "kummer": {"hyp1f1_ct2": lambda a, b, c, order, h=series.hyp1f1_ct2: h(a, b, 2 * c, order)},
+    "contiguous": {"hyp1f1_ct2": lambda a, b, c, order, h=series.hyp1f1_ct2: h(a, b + 1, c, order)},
 }
 
 

@@ -1,4 +1,5 @@
-"""Floating-point special functions and the numeric closed forms."""
+"""Floating-point special functions and the numeric closed forms, with a
+direct-summation 1F1 as a second route to D_a."""
 
 from __future__ import annotations
 
@@ -11,8 +12,25 @@ import pytest
 
 from permgram import specialfn
 from permgram.grammar import builtin, gen_coeffs
-from permgram.specialfn import (TOLERANCE, ConvergenceError, ImaginaryResidualError, gen_p_value,
-                                gen_q_value, hyp1f1, pcf_d, pcf_d_derivs, rgamma)
+from permgram.specialfn import (MAX_TERMS, TOLERANCE, ComplexLike, ConvergenceError,
+                                ImaginaryResidualError, Real, gen_p_value, gen_q_value, pcf_d,
+                                pcf_d_derivs, rgamma)
+
+
+def hyp1f1(a: Real, b: Real, z: ComplexLike) -> complex:
+    """1F1(a; b; z) by direct summation; desk-scale |z| only."""
+    if b <= 0 and float(b).is_integer():
+        raise ValueError(f"1F1 parameter b={b} is a nonpositive integer")
+    if abs(z) > 40:
+        raise ConvergenceError(f"|z|={abs(z):.3g} too large for direct summation")
+    total = complex(1.0)
+    term = complex(1.0)
+    for n in range(MAX_TERMS):
+        term = term * (a + n) / (b + n) * z / (n + 1)
+        total += term
+        if abs(term) < TOLERANCE / 10 and n > 3:
+            return total
+    raise ConvergenceError("1F1 summation did not converge within the cutoff")
 
 
 def reference_pcf_d(a, z):
@@ -45,6 +63,17 @@ def test_hyp1f1_erf_identity():
     lhs = hyp1f1(1, 1.5, z * z)
     rhs = math.sqrt(math.pi) / (2 * z) * math.exp(z * z) * math.erf(z)
     assert abs(lhs - rhs) < 1e-13
+
+
+def test_hyp1f1_kummer_and_contiguous_relations():
+    # Kummer: 1F1(a; b; z) = e^z 1F1(b-a; b; -z); contiguous:
+    # (1+a-b) 1F1(a; b; z) = a 1F1(a+1; b; z) + (1-b) 1F1(a; b-1; z)
+    for a, b, z in itertools.product((0.3, 1.2, -0.7), (0.5, 1.7), (-2.5, -1.0, 0.8, 3.0)):
+        assert abs(hyp1f1(a, b, z) - math.exp(z) * hyp1f1(b - a, b, -z)) <= 1e-10, (a, b, z)
+    for a, b, z in itertools.product((0.4, -1.3), (1.7, 2.5), (-2.0, 1.5)):
+        lhs = (1 + a - b) * hyp1f1(a, b, z)
+        rhs = a * hyp1f1(a + 1, b, z) + (1 - b) * hyp1f1(a, b - 1, z)
+        assert abs(lhs - rhs) <= 1e-10, (a, b, z)
 
 
 def test_hyp1f1_guards():
