@@ -64,9 +64,12 @@ def test_criterion_04_convolution():
 
 
 def test_criterion_05_ode_and_exact_closed_forms():
-    with criterion(5, "cylinder equation through t^14; exact closed forms through t^12"):
-        run_and_assert("ode", order=14)
-        run_and_assert("gen-x1z", order=12)
+    with criterion(5, "cylinder equation and Gen(x^-1 z) at every order, by certificate; "
+                      "engine self-check through t^12"):
+        for check_id, pairs in (("ode", 5), ("gen-x1z", 3)):
+            report = run_and_assert(check_id)
+            assert report.spec.order is None and report.checked == pairs
+            assert "at every order" in report.details[0]
         run_and_assert("quotient", order=12)
 
 

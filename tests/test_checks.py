@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 from collections import Counter
@@ -129,6 +130,25 @@ def test_numeric_check_fails_a_nan_closed_form(monkeypatch):
     assert report.counterexample.startswith("trial 0 at t=")
 
 
+@pytest.mark.parametrize("check_id, name", [("genp-num", "gen_p_value"),
+                                            ("genq-num", "gen_q_value")])
+def test_an_arithmetic_error_fails_only_its_trial(check_id, name, monkeypatch):
+    # a closed form that raises at trial 0 fails that trial; the other four still run
+    real, calls = getattr(specialfn, name), []
+
+    def first_call_raises(point, t):
+        calls.append(t)
+        if len(calls) == 1:
+            raise specialfn.ConvergenceError("no convergence within the term cutoff")
+        return real(point, t)
+
+    monkeypatch.setattr(specialfn, name, first_call_raises)
+    report = run_check(check_id)
+    assert not report.passed and len(calls) == 5 and report.checked == 4
+    assert report.counterexample == ("trial 0: ConvergenceError: "
+                                     "no convergence within the term cutoff")
+
+
 @pytest.mark.parametrize("seed", ["z", "w"])
 def test_gen_num_truncation_matches_the_symbolic_chain(seed):
     # the flow replaces D^n(seed).evaluate at the numeric checks' own samples;
@@ -149,8 +169,10 @@ def test_gen_num_truncation_matches_the_symbolic_chain(seed):
 def test_overrides_only_apply_where_meaningful():
     report = run_check("pcf-closed", n_max=3, order=2)
     assert report.spec.n_max is None and report.spec.order is None
-    report = run_check("ode", order=6, tol=1e-3)
+    report = run_check("quotient", order=6, tol=1e-3)
     assert report.spec.order == 6 and report.spec.tol is None
+    report = run_check("ode", n_max=3, order=6, tol=1e-3)  # a certificate row has no knob
+    assert (report.spec.n_max, report.spec.order, report.spec.tol) == (None, None, None)
 
 
 def test_run_many_preserves_registry_order():
@@ -209,8 +231,9 @@ COUNTS_AT_3 = {
     "w-cor": (3, "D^n(w) at v=z equals the valley-marked enumeration for 1 <= n <= 3"),
     "insertion": (10, "summed child weights equal D(weight) for every permutation, n <= 3"),
     "conv": (3, "P_(n+1) = sum C(n,k) P_k Q_(n-k) with Q_0 = w for 1 <= n <= 3"),
-    "ode": (9, "f'' - (gamma/8 t^2 + beta/4 t + alpha/4) f vanishes through t^3"),
-    "gen-x1z": (4, "D^n(x^-1 z) matches its binomial closed form through n = 3"),
+    "ode": (5, "f = Gen(x^-1/2 z^-1/2) solves f'' = (alpha + beta t + gamma t^2/2)/4 f at every "
+               "order, with alpha = (y+w)^2 - 2xv - 2zu, beta = D(alpha), gamma = D(beta)"),
+    "gen-x1z": (3, "Gen(x^-1 z) = x^-1 z exp((w-y)t + (xv-zu)t^2/2) at every order"),
     "quotient": (4, "Gen(z)^2 Gen(x^-1/2 z^-1/2)^2 = Gen(x^-1 z) through t^3: gen_coeffs "
                     "and gen_product respect the Leibniz rule (true under every grammar)"),
     "stats-id": (28, "consecutive-pattern, peak/valley, and labeling identities hold for n <= 3"),
@@ -371,6 +394,28 @@ def _swapped_q_at_three_231_peaks(monkeypatch):
         return (u, y, z, w, x, v) if s.ep2 == 3 else (x, y, z, w, u, v)
 
     monkeypatch.setitem(perms._DISTRIBUTIONS, "Q", row._replace(exponents=swapped))
+
+
+def _doubled_rule(var):
+    """Built-in grammars, with every term of G's rule for ``var`` doubled."""
+    def grammar(name):
+        g = builtin(name)
+        if name != "G":
+            return g
+        return dataclasses.replace(g, rules=tuple(2 * rule if v == var else rule
+                                                  for v, rule in zip(g.vars, g.rules)))
+    return grammar
+
+
+@pytest.mark.parametrize("var", builtin("G").vars)
+def test_certificate_rows_fail_under_a_doubled_rule(var, monkeypatch):
+    # the certificates prove their identities at every order, so neither may
+    # be vacuous: doubling any one rule of G breaks a pair of each row
+    monkeypatch.setattr(checks, "builtin", _doubled_rule(var))
+    for check_id in ("ode", "gen-x1z"):
+        report = run_check(check_id)
+        assert not report.passed, (var, check_id)
+        assert report.counterexample.startswith("D("), report.counterexample
 
 
 class _OffOnU3:

@@ -106,6 +106,35 @@ def test_second_difference_of_w_minus_y():
     assert gen_coeffs(G, diff, 2)[2].is_zero()
 
 
+def reference_x1z_chain(order: int) -> list[LaurentPoly]:
+    """D^n(x^-1 z) under G for n <= order from its binomial closed form,
+    x^-1 z sum_k n!/(2^k (n-2k)! k!) (w - y)^(n-2k) (xv - zu)^k."""
+    front = G.poly("x^-1*z")
+    wy, c = G.poly("w") - G.poly("y"), G.poly("x*v - z*u")
+    wy_pows, c_pows = [G.poly("1")], [G.poly("1")]  # (w - y)^j and c^k, each built once
+    while len(wy_pows) <= order:
+        wy_pows.append(wy_pows[-1] * wy)
+    while len(c_pows) <= order // 2:
+        c_pows.append(c_pows[-1] * c)
+    fact = math.factorial
+    chain = []
+    for n in range(order + 1):
+        total = LaurentPoly.zero(G.vars)
+        for k in range(n // 2 + 1):
+            scale = F(fact(n), (2 ** k) * fact(n - 2 * k) * fact(k))
+            total = total + scale * wy_pows[n - 2 * k] * c_pows[k]
+        chain.append(front * total)
+    return chain
+
+
+def test_chain_of_x1z_matches_its_binomial_closed_form():
+    # the gen-x1z certificate fixes every order; this holds the engine to it through n = 16
+    order = 16
+    chain = gen_coeffs(G, G.poly("x^-1*z"), order)
+    for n, (got, want) in enumerate(zip(chain, reference_x1z_chain(order), strict=True)):
+        assert got == want, n
+
+
 def test_gen_coeffs_of_constant():
     coeffs = gen_coeffs(G, G.poly("1"), 4)
     assert coeffs[0] == G.poly("1")
