@@ -9,13 +9,10 @@ brute-force sweep of ``stats`` over S_n.  Permutations are tuples of the
 values 1..n; the boundary zeros required by the statistics are supplied
 virtually.
 
-The two labelings, the insertion step and the consecutive-pattern count are
-block kernels: each is written once, over a block of equal-length
-permutations, and applies its rule across the whole block with ``map``
-(see "block kernels" below).  The brute-force walks in ``checks`` run them
-a block at a time; each exported single-permutation function runs its
-block of one and keeps its validation and errors.  ``stats`` stays a
-per-permutation pass.
+``stats``, the two labelings, the insertion step and the consecutive-pattern
+count each read one permutation.  The insertion certificates in ``checks``
+rest on their locality: inserting n+1 changes only the triples around its
+slot.
 
 Statistic conventions (pi_0 = 0 on the left, pi_{n+1} = 0 on the right
 where noted):
@@ -36,9 +33,8 @@ where noted):
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
-from operator import gt, itemgetter, le, lt
+from operator import lt
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -133,16 +129,7 @@ def stats(perm: Sequence[int]) -> StatVector:
     return StatVector(ep1, ep2, pdd, p1, p2, dd, dr, valleys, des, breaks == 0)
 
 
-# -- block kernels: the labelings, insertion and consecutive patterns -----------
-#
-# Each rule below is written once, over a block of equal-length permutations,
-# so that one ``map`` applies it across the whole block.  The labelings and
-# the insertion step hold a block as columns: ``cols[k]`` lists the (k+1)-th
-# value of each of its ``size`` permutations.  The consecutive-pattern count
-# reads the block as one sequence.  Each exported single-permutation function
-# runs its block of one (``list(zip(perm))`` as columns).
-
-Column = tuple  # one position across a block: its values, or its labels
+# -- grammatical labelings ---------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -160,122 +147,15 @@ def _weight_key(exponents: Iterable[int]) -> tuple[int, ...]:
     return tuple([2 * e for e in exponents])
 
 
-def _monomials(keys: Iterable[tuple[int, ...]]) -> LaurentPoly:
-    """The sum of the monomials over ``WEIGHT_VARS`` with these keys."""
-    return _raw(WEIGHT_VARS, 1, dict(Counter(keys)))  # canonical as built
+def _weight(exponents: Iterable[int]) -> LaurentPoly:
+    """The monomial over ``WEIGHT_VARS`` with these exponents, in that order."""
+    return _raw(WEIGHT_VARS, 1, {_weight_key(exponents): 1})  # canonical as built
 
 
-_Rules = dict[tuple[bool, bool, bool], tuple[str | None, str | None]]
-
-
-def _rules(double_rise: str | None) -> _Rules:
-    """What the triple centred at pi_i gives pi_i and pi_{i+1} (None for no
-    label), keyed by (pi_{i-1} < pi_i, pi_i > pi_{i+1}, the peak test of
-    pattern 132): a peak of pattern 132 labels them (x, v), pattern 231
-    (u, z); a double descent labels pi_{i+1} by y; a double rise labels pi_i
-    by ``double_rise``; a valley labels nothing."""
-    return {(True, True, True): ("x", "v"), (True, True, False): ("u", "z"),
-            (False, True, False): (None, "y"), (True, False, True): (double_rise, None),
-            (False, False, True): (None, None), (False, False, False): (None, None)}
-
-
-def _joins(blank: str | None) -> dict[tuple[str | None, str | None], str]:
-    """(label from the triple on the left, label from the triple on the
-    right) -> the position's label.  A pair of two labels has no entry, and
-    a pair of none has one only where the scheme labels such a position
-    ``blank``."""
-    names = (None,) + WEIGHT_VARS
-    joins = {(a, b): a or b for a in names for b in names if (a is None) != (b is None)}
-    if blank is not None:
-        joins[None, None] = blank
-    return joins
-
-
-class _Scheme(NamedTuple):
-    """A labeling scheme as data, for ``_label_columns``."""
-
-    rules: _Rules
-    #: At a peak, whether pi_{i-1} against pi_{i+1} makes it pattern 132.
-    is_132: Callable[[int, int], bool]
-    #: Whether the triples run up to pi_n, against the right boundary zero.
-    right_zero: bool
-    #: (label from the triple on the left, from the one on the right) -> label
-    joins: dict[tuple[str | None, str | None], str]
-    #: The labels of the positions after the last one a triple reaches.
-    trailing: tuple[str, ...]
-
-
-# exterior: the left boundary zero only, a trailing 0 labeled z, and w for
-# every position no triple labels; peak: both boundary zeros, and every
-# position labeled by exactly one triple
-_EXTERIOR = _Scheme(_rules(None), lt, False, _joins("w"), ("z",))
-_PEAK = _Scheme(_rules("w"), le, True, _joins(None), ())
-
-_FIRST, _SECOND = itemgetter(0), itemgetter(1)
-
-
-def _label_columns(cols: Sequence[Column], size: int, scheme: _Scheme) -> list[Column]:
-    """Column p lists the label of position p + 1 of each permutation.
-
-    A position labeled twice, or left unlabeled by the peak scheme, raises
-    ``AssertionError`` for the first permutation of the block that has one,
-    as its block of one raises.
-    """
-    triples = len(cols) + scheme.right_zero - 1  # centred at pi_1, pi_2, ...
-    trailing = [(label,) * size for label in scheme.trailing]
-    if triples < 0:
-        return trailing
-    zeros, nones = (0,) * size, (None,) * size
-    padded = [zeros, *cols, zeros]
-    rule, is_132 = scheme.rules.__getitem__, scheme.is_132
-    parts = []  # what each triple gives its centre and the value after it, triple by triple
-    for i in range(1, triples + 1):  # the triple centred at pi_i
-        left, mid, right = padded[i - 1:i + 2]
-        parts += map(rule, zip(map(lt, left, mid), map(gt, mid, right), map(is_132, left, right)))
-
-    def pairs() -> Iterator[tuple]:
-        """Position by position across the block, what the triples centred at
-        pi_p and pi_{p+1} give position p + 1."""
-        return zip(itertools.chain(nones, map(_SECOND, parts)),
-                   itertools.chain(map(_FIRST, parts), nones))
-
-    try:
-        labels = list(map(scheme.joins.__getitem__, pairs()))
-    except KeyError:
-        all_pairs = list(pairs())
-        for j in range(size):  # the first permutation at fault, as its block of one finds it
-            own = all_pairs[j::size]
-            twice = [(pos, pair) for pos, pair in enumerate(own) if all(pair)]
-            if twice:
-                pos, (first, second) = twice[0]
-                raise AssertionError(
-                    f"position {pos + 1} labeled twice ({first} and {second})") from None
-            if not all(map(scheme.joins.__contains__, own)):  # only the peak scheme can
-                perm = tuple(column[j] for column in cols)
-                raise AssertionError(
-                    f"peak labeling left a position unlabeled for {perm}") from None
-        raise
-    return list(zip(*[iter(labels)] * size)) + trailing  # each run of size labels is a column
-
-
-def _weight_keys(labels: Sequence[Column]) -> list[tuple[int, ...]]:
-    """The key of each permutation's weight monomial, twice the number of
-    each label, from the label columns: each label adds 2 to its variable's
-    field of one int, and a field holds up to twice the number of positions."""
-    width = (2 * len(labels)).bit_length()
-    codes = {name: 2 << (width * k) for k, name in enumerate(WEIGHT_VARS)}
-    packed = list(map(sum, zip(*[map(codes.__getitem__, column) for column in labels])))
-    mask = (1 << width) - 1
-    keys = {code: tuple([(code >> (width * k)) & mask for k in range(len(WEIGHT_VARS))])
-            for code in set(packed)}  # each distinct weight unpacked once
-    return list(map(keys.__getitem__, packed))
-
-
-def _labeling(perm: Perm, scheme: _Scheme) -> Labeling:
-    """The labeling of one permutation: its block of one."""
-    labels = _label_columns(list(zip(perm)), 1, scheme)
-    (filled,) = zip(*labels)
-    return Labeling(filled, _monomials(_weight_keys(labels)))
+def _assign(labels: list[str | None], pos: int, label: str) -> None:
+    if labels[pos] is not None:
+        raise AssertionError(f"position {pos + 1} labeled twice ({labels[pos]} and {label})")
+    labels[pos] = label
 
 
 def label_exterior(perm: Sequence[int]) -> Labeling:
@@ -286,7 +166,22 @@ def label_exterior(perm: Sequence[int]) -> Labeling:
     >>> label_exterior((5, 3, 4, 6, 2, 1)).labels
     ('x', 'v', 'w', 'u', 'z', 'y', 'z')
     """
-    return _labeling(check_permutation(perm), _EXTERIOR)
+    perm = check_permutation(perm)
+    labels: list[str | None] = [None] * len(perm) + ["z"]
+    # i - 1 indexes pi_i for 1 <= i <= n-1; the left zero is never above pi_i,
+    # so a double descent found here has i >= 2
+    for i, left, mid, right in zip(itertools.count(1), (0,) + perm, perm, perm[1:]):
+        if left < mid > right:
+            if left < right:
+                _assign(labels, i - 1, "x")
+                _assign(labels, i, "v")
+            else:
+                _assign(labels, i - 1, "u")
+                _assign(labels, i, "z")
+        elif left > mid > right:
+            _assign(labels, i, "y")
+    filled = tuple([label or "w" for label in labels])
+    return Labeling(filled, _weight(map(filled.count, WEIGHT_VARS)))
 
 
 def label_peak(perm: Sequence[int]) -> Labeling:
@@ -299,9 +194,27 @@ def label_peak(perm: Sequence[int]) -> Labeling:
     ('x', 'v', 'y')
     """
     perm = check_permutation(perm)
-    if not perm:
+    n = len(perm)
+    if n < 1:
         raise ValueError("peak-scheme labeling needs a nonempty permutation")
-    return _labeling(perm, _PEAK)
+    labels: list[str | None] = [None] * (n + 1)
+    padded = (0,) + perm + (0,)  # both boundary zeros
+    for i, left, mid, right in zip(itertools.count(1), padded, perm, padded[2:]):
+        if left < mid > right:
+            if left <= right:
+                _assign(labels, i - 1, "x")
+                _assign(labels, i, "v")
+            else:
+                _assign(labels, i - 1, "u")
+                _assign(labels, i, "z")
+        elif left > mid > right:
+            _assign(labels, i, "y")
+        elif left < mid < right:
+            _assign(labels, i - 1, "w")
+    if None in labels:
+        raise AssertionError(f"peak labeling left a position unlabeled for {perm}")
+    filled = tuple(labels)  # type: ignore[arg-type]
+    return Labeling(filled, _weight(map(filled.count, WEIGHT_VARS)))
 
 
 def _exterior_w(s: StatVector, n: int) -> int:
@@ -309,11 +222,7 @@ def _exterior_w(s: StatVector, n: int) -> int:
     return n - 2 * (s.ep1 + s.ep2) - s.pdd
 
 
-def _insertion_columns(cols: Sequence[Column], size: int) -> list[list[Column]]:
-    """Slot by slot, left to right, the columns of the children that insert
-    n+1 into each permutation at that slot."""
-    new = (len(cols) + 1,) * size
-    return [[*cols[:slot], new, *cols[slot:]] for slot in range(len(cols) + 1)]
+# -- insertion and consecutive patterns --------------------------------------
 
 
 def insertion_children(perm: Sequence[int]) -> list[Perm]:
@@ -323,40 +232,13 @@ def insertion_children(perm: Sequence[int]) -> list[Perm]:
     >>> insertion_children((2, 1))
     [(3, 2, 1), (2, 3, 1), (2, 1, 3)]
     """
-    cols = list(zip(check_permutation(perm)))
-    return [next(zip(*child)) for child in _insertion_columns(cols, 1)]
+    perm = check_permutation(perm)
+    new = len(perm) + 1
+    return [perm[:i] + (new,) + perm[i:] for i in range(new)]
 
 
 #: The positions of each valid pattern seen, in the order it ranks them.
 _PATTERN_ORDERS: dict[tuple[int, ...], list[int]] = {}
-
-
-def _consecutive_counts(block: Sequence[Sequence[int]], pattern: Sequence[int]) -> list[int]:
-    """For each permutation of a block of equal-length ones, its number of
-    adjacent windows order-isomorphic to the pattern: read in the order the
-    pattern ranks its positions, a window's values increase.  The block is
-    read as one sequence, and a window across two permutations is not
-    counted."""
-    key = tuple(pattern)
-    order = _PATTERN_ORDERS.get(key)
-    if order is None:  # validate and rank each distinct pattern once
-        pattern = check_permutation(pattern)
-        if not pattern:
-            raise ValueError("empty pattern")
-        order = _PATTERN_ORDERS[key] = sorted(range(len(pattern)), key=pattern.__getitem__)
-    n = len(block[0])
-    last = n - len(order) + 1  # windows per permutation
-    if last <= 0:
-        return [0] * len(block)
-    values = list(itertools.chain.from_iterable(block))
-    end = len(values) - len(order) + 1  # windows of the whole block
-    # column j lists, window by window, the value at the j-th ranked position
-    columns = [values[k:end + k] for k in order]
-    rises = [map(lt, low, high) for low, high in zip(columns, columns[1:])]
-    if not rises:
-        return [last] * len(block)
-    matches = list(map(all, zip(*rises)))
-    return [sum(matches[start:start + last]) for start in range(0, len(values), n)]
 
 
 def consecutive_count(perm: Sequence[int], pattern: Sequence[int]) -> int:
@@ -366,7 +248,19 @@ def consecutive_count(perm: Sequence[int], pattern: Sequence[int]) -> int:
     >>> consecutive_count((1, 2, 3, 4, 5, 6), (1, 2))
     5
     """
-    return _consecutive_counts([tuple(perm)], pattern)[0]
+    key = tuple(pattern)
+    order = _PATTERN_ORDERS.get(key)
+    if order is None:  # validate and rank each distinct pattern once
+        pattern = check_permutation(pattern)
+        if not pattern:
+            raise ValueError("empty pattern")
+        order = _PATTERN_ORDERS[key] = sorted(range(len(pattern)), key=pattern.__getitem__)
+    perm = tuple(perm)
+    last = max(len(perm) - len(order) + 1, 0)  # number of windows
+    # column j lists, window by window, the value at the j-th ranked position
+    columns = [perm[k:last + k] for k in order]
+    rises = [map(lt, low, high) for low, high in zip(columns, columns[1:])]
+    return sum(map(all, zip(*rises))) if rises else last
 
 
 def involution_count(n: int) -> int:

@@ -54,8 +54,10 @@ def test_criterion_02_w_corollary():
 
 
 def test_criterion_03_insertion_mechanism():
-    with criterion(3, "insertion children realize the derivative, n <= 6"):
-        run_and_assert("insertion", n_max=6)
+    with criterion(3, "insertion lemma for both labelings at every n, by certificate; "
+                      "witness through S_6"):
+        report = run_and_assert("insertion", n_max=6)
+        assert "every n" in report.details[0] and report.details[0].endswith("n <= 6")
 
 
 def test_criterion_04_convolution():
@@ -102,16 +104,20 @@ def test_criterion_08_special_function_suite():
 
 
 def test_criterion_09_statistic_identities():
-    with criterion(9, "exhaustive statistic and labeling identities, n <= 7"):
-        run_and_assert("stats-id", n_max=7)
+    with criterion(9, "statistic and labeling identities at every n >= 1, by certificate; "
+                      "witness through S_7"):
+        report = run_and_assert("stats-id", n_max=7)
+        assert "every n >= 1" in report.details[0] and report.details[0].endswith("n <= 7")
         # spot re-assertions of the three identities on one permutation
         s = stats((4, 3, 5, 6, 7, 2, 1))
         assert s.p1 + s.p2 == s.valleys + 1
 
 
 def test_criterion_10_reference_grammars():
-    with criterion(10, "g1 Eulerian, g2 exterior peaks, g3 four-variable, n <= 8"):
-        run_and_assert("grammar-chain", n_max=6)
+    with criterion(10, "G reduces to g1, g2, g3 at every n; g1 Eulerian, g2 exterior peaks, "
+                       "g3 four-variable, n <= 8"):
+        report = run_and_assert("grammar-chain")
+        assert report.spec.n_max is None and report.details[0].endswith("at every n")
         run_and_assert("g1-eulerian", n_max=8)
         run_and_assert("g2-exterior", n_max=8)
         run_and_assert("g3-fu", n_max=8)

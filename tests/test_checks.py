@@ -229,15 +229,21 @@ COUNTS_AT_3 = {
     "thm-P": (4, "D^n(z) equals the exterior-scheme enumeration for 0 <= n <= 3"),
     "thm-Q": (3, "D^n(w) equals the peak-scheme enumeration for 1 <= n <= 3"),
     "w-cor": (3, "D^n(w) at v=z equals the valley-marked enumeration for 1 <= n <= 3"),
-    "insertion": (10, "summed child weights equal D(weight) for every permutation, n <= 3"),
+    "insertion": (89, "wt(child)/wt(pi) = rule(L)/L under G at every slot of every n, L the "
+                      "slot's label, for both labelings: 45 windows (44 for the peak scheme) "
+                      "certified on S_0..S_4, every insertion into S_n witnessed for n <= 3"),
     "conv": (3, "P_(n+1) = sum C(n,k) P_k Q_(n-k) with Q_0 = w for 1 <= n <= 3"),
     "ode": (5, "f = Gen(x^-1/2 z^-1/2) solves f'' = (alpha + beta t + gamma t^2/2)/4 f at every "
                "order, with alpha = (y+w)^2 - 2xv - 2zu, beta = D(alpha), gamma = D(beta)"),
     "gen-x1z": (3, "Gen(x^-1 z) = x^-1 z exp((w-y)t + (xv-zu)t^2/2) at every order"),
     "quotient": (4, "Gen(z)^2 Gen(x^-1/2 z^-1/2)^2 = Gen(x^-1 z) through t^3: gen_coeffs "
                     "and gen_product respect the Leibniz rule (true under every grammar)"),
-    "stats-id": (28, "consecutive-pattern, peak/valley, and labeling identities hold for n <= 3"),
-    "grammar-chain": (30, "G reduces to g1, g2, g3 and the reductions commute with D up to n = 3"),
+    "stats-id": (135, "consecutive-pattern, peak/valley, and labeling identities hold for every "
+                      "n >= 1: base S_1, 44 windows certified on S_1..S_4, every insertion into "
+                      "S_n witnessed for n <= 3"),
+    "grammar-chain": (18, "G reduces to g1, g2, g3: each substitution maps every rule of G to a "
+                          "rule of its reduction, so it commutes with D on every polynomial, at "
+                          "every n"),
     "g1-eulerian": (4, "D^n(x) under g1 at y=1 equals x times the descent polynomial, n <= 3"),
     "g2-exterior": (4, "D^n(x) under g2 equals sum x^(2k+1) y^(n-2k) over exterior-peak "
                        "counts, n <= 3"),
@@ -262,7 +268,7 @@ COUNTS_AT_3 = {
     "genp-num": (5, "exterior-scheme closed form matches the exact N=25 truncation at "
                     "5 box samples"),
     "genq-num": (5, "peak-scheme closed form matches the exact N=25 truncation at 5 box samples"),
-    "pcf-closed": (22, "integer-order cylinder functions match their elementary closed forms"),
+    "pcf-closed": (21, "integer-order cylinder functions match their elementary closed forms"),
     "pcf-rec": (153, "ladder recurrences hold to 1e-10 and the scaled Weber equation to 1e-8"),
     "kummer": (39, "Kummer transformation holds exactly at series level at 3 rational (a, b, c), "
                    "through t^12"),
@@ -368,10 +374,10 @@ def _involutions_off_at_3(monkeypatch):
 # report, word for word.
 WALK_MUTANTS = {
     "insertion": (lambda mp: mp.setattr(checks, "builtin", _edited_g),
-                  "insertion step at (3, 2, 1): coefficient of x*z^2*u*v is 1 on the left, "
-                  "0 on the right"),
-    "stats-id": (_swapped_q,
-                 "peak labeling weight at (1,): coefficient of u*v is 0 on the left, 1 on the right"),
+                  "peak weight vs rule(L)/L steps at window (2, 1, 0, None) (slot 2 of (2, 1)): "
+                  "y^-1*z*u != x*y^-1*v"),
+    "stats-id": (_swapped_q, "peak labeling weight vs Q row steps at window (0, 1, 0, None) "
+                             "(slot 1 of (1,)): x^-1*z*w*u*v^-1 != x*z*w*u^-1*v^-1"),
     "involutions": (_involutions_off_at_3, "involution count, coefficient of t^3: 2/3 != 5/6"),
 }
 
@@ -396,15 +402,15 @@ def _swapped_q_at_three_231_peaks(monkeypatch):
     monkeypatch.setitem(perms._DISTRIBUTIONS, "Q", row._replace(exponents=swapped))
 
 
-def _doubled_rule(var):
-    """Built-in grammars, with every term of G's rule for ``var`` doubled."""
-    def grammar(name):
+def _doubled_rule(var, grammar="G"):
+    """Built-in grammars, with every term of ``grammar``'s rule for ``var`` doubled."""
+    def doubled(name):
         g = builtin(name)
-        if name != "G":
+        if name != grammar:
             return g
         return dataclasses.replace(g, rules=tuple(2 * rule if v == var else rule
                                                   for v, rule in zip(g.vars, g.rules)))
-    return grammar
+    return doubled
 
 
 @pytest.mark.parametrize("var", builtin("G").vars)
@@ -418,67 +424,115 @@ def test_certificate_rows_fail_under_a_doubled_rule(var, monkeypatch):
         assert report.counterexample.startswith("D("), report.counterexample
 
 
+def test_insertion_fails_under_a_doubled_rule_in_both_schemes(monkeypatch):
+    # the certificate compares rule(L)/L at a window of each label, so each
+    # doubled rule of G fails it there, in whichever labeling first has that label
+    schemes = set()
+    for var in builtin("G").vars:
+        monkeypatch.setattr(checks, "builtin", _doubled_rule(var))
+        report = run_check("insertion")
+        assert not report.passed, var
+        scheme, rest = report.counterexample.split(" weight vs rule(L)/L steps at window ", 1)
+        step, factor = rest.rsplit(": ", 1)[1].split(" != ")
+        assert factor == f"2*{step}", report.counterexample
+        schemes.add(scheme)
+    assert schemes == {"exterior", "peak"}
+
+
+@pytest.mark.parametrize("name, var", [(name, var) for name in ("g1", "g2", "g3")
+                                       for var in builtin(name).vars])
+def test_grammar_chain_fails_under_a_doubled_reduced_rule(name, var, monkeypatch):
+    # the row compares rules, not chains: a doubled rule of a reduction fails it
+    monkeypatch.setattr(checks, "builtin", _doubled_rule(var, name))
+    report = run_check("grammar-chain")
+    assert not report.passed
+    assert report.counterexample.startswith(f"{name}: reduced rule for "), report.counterexample
+
+
 class _OffOnU3:
     """A grammar whose derivative is off by the input on terms with u^3."""
 
     def __init__(self, grammar):
         self.grammar = grammar
 
+    def __getattr__(self, name):
+        return getattr(self.grammar, name)
+
     def derive(self, poly):
         derived = self.grammar.derive(poly)
         return derived + poly if any(key[4] == 6 for key in poly.terms) else derived
 
 
-def _derive_off_on_u3(monkeypatch):
+def test_a_derivative_off_on_u3_fails_thm_p(monkeypatch):
+    # u^3 first occurs in D^7(z), so the chain goes wrong at n = 8, the row's
+    # default depth; insertion compares the rules of G and derives nothing
     real = checks.builtin
     monkeypatch.setattr(checks, "builtin", lambda name: _OffOnU3(real(name)))
+    report = run_check("thm-P")
+    assert (report.passed, report.checked) == (False, 9)
+    assert report.counterexample == ("derivative vs enumeration at n=8: coefficient of z*w^7 "
+                                     "is 1 on the left, 0 on the right")
+    assert run_check("insertion").passed
 
 
-# A wrong ingredient for each block walk that first shows at the 2,584th
-# permutation of S_7, (4, 5, 3, 6, 2, 7, 1), the first with three exterior
-# 231-peaks: the failure and the count, word for word as the
-# per-permutation walk reported them.
-LATE_WALK_MUTANTS = {
-    "stats-id": (_swapped_q_at_three_231_peaks,
-                 "peak labeling weight at (4, 5, 3, 6, 2, 7, 1): coefficient of y*z^3*w*u^3 "
-                 "is 1 on the left, 0 on the right", 17740),
-    "insertion": (_derive_off_on_u3,
-                  "insertion step at (4, 5, 3, 6, 2, 7, 1): coefficient of z^4*w*u^3 "
-                  "is 0 on the left, 1 on the right", 5914),
-}
+def test_a_non_local_mutant_passes_the_certificate_and_fails_the_witness(monkeypatch):
+    # the Q row swapped only at three exterior 231-peaks, which first occur in
+    # S_7: every window's steps are the true ones, so the certificate and a
+    # witness to S_6 pass; the first insertion into S_7 that makes three such
+    # peaks steps unlike its window
+    _swapped_q_at_three_231_peaks(monkeypatch)
+    assert run_check("stats-id", n_max=6).passed
+    report = run_check("stats-id", n_max=7)
+    assert not report.passed
+    assert report.counterexample == (
+        "Q row step into (4, 7, 3, 5, 2, 6, 1) against its window (0, 2, 1, 3): "
+        "x^2*z*w*u^-2*v^-1 != x^-1*z*w*u*v^-1")
 
 
-@pytest.mark.parametrize("check_id", list(LATE_WALK_MUTANTS))
-def test_walk_reports_a_failure_past_the_first_blocks(check_id, monkeypatch):
-    mutate, failure, checked = LATE_WALK_MUTANTS[check_id]
-    late = list(perms.permutations(7)).index((4, 5, 3, 6, 2, 7, 1))
-    assert late == 2583 and late // checks.WALK_BLOCK >= 3
-    mutate(monkeypatch)
-    report = run_check(check_id, n_max=7)
-    assert (report.passed, report.counterexample, report.checked) == (False, failure, checked)
+def test_stats_id_fails_a_wrong_base(monkeypatch):
+    # the Q row with one more w everywhere: every step is the true one, so
+    # only the base at S_1 can see it
+    row = perms._DISTRIBUTIONS["Q"]
+
+    def offset(s, n):
+        x, y, z, w, u, v = row.exponents(s, n)
+        return x, y, z, w + 1, u, v
+
+    monkeypatch.setitem(perms._DISTRIBUTIONS, "Q", row._replace(exponents=offset))
+    report = run_check("stats-id", n_max=4)
+    assert not report.passed
+    assert report.counterexample == "peak labeling weight vs Q row at (1,): x*v != x*w*v"
 
 
-# A labeling rule edited so that a double descent labels pi_i, not pi_{i+1}:
-# the scheme's double-label guard trips, and the walk stops where the
-# per-permutation walk stopped, with its message and its count.
-GUARD_MUTANTS = {
-    "stats-id": (perms._PEAK, "AssertionError: position 2 labeled twice (v and y)", 9),
-    "insertion": (perms._EXTERIOR, "AssertionError: position 2 labeled twice (v and y)", 3),
-}
+def test_a_window_first_seen_past_s_4_fails(monkeypatch):
+    # a window that also marks whether the parent is past S_4 is new at S_5,
+    # where the certificate compares no steps
+    window = checks._window
+    monkeypatch.setattr(checks, "_window", lambda perm, slot: window(perm, slot) + (len(perm) > 4,))
+    report = run_check("stats-id", n_max=6)
+    assert not report.passed
+    assert report.counterexample == ("consecutive 231+321: window (None, 0, 1, 2, True) of slot 0 "
+                                     "of (1, 2, 3, 4, 5) does not occur on S_0..S_4")
 
 
-@pytest.mark.parametrize("check_id", list(GUARD_MUTANTS))
-def test_walk_stops_at_a_double_label(check_id, monkeypatch):
-    scheme, failure, checked = GUARD_MUTANTS[check_id]
-    monkeypatch.setitem(scheme.rules, (False, True, False), ("y", None))
-    report = run_check(check_id, n_max=7)
-    assert (report.passed, report.counterexample, report.checked) == (False, failure, checked)
+def test_the_windows_all_occur_on_s_0_to_s_4():
+    # 1, 3, 9, 21 and 45 windows on the slots of S_0..S_n, and none new on S_5..S_7
+    seen, totals = set(), []
+    for n in range(8):
+        seen.update(checks._window(perm, slot) for perm in perms.permutations(n)
+                    for slot in range(n + 1))
+        totals.append(len(seen))
+    assert totals == [1, 3, 9, 21, 45, 45, 45, 45]
+    assert checks.WINDOW_N == 4
+    assert checks._window((), 0) == (None, 0, 0, None)
+    assert checks._window((4, 3, 5, 2, 6, 1), 1) == (0, 2, 1, 3)
 
 
 @pytest.mark.parametrize("check_id, n_max, bound_mb", [("stats-id", 7, 0.2), ("insertion", 6, 0.3)])
 def test_walks_hold_a_block_at_a_time(check_id, n_max, bound_mb):
-    # held a block at a time, the walks peak at about 0.11 and 0.22 MB; whole
-    # S_n as columns (S_7 has 5,040 permutations, S_6 720) goes past the bound
+    # the walks hold one parent and its children at a time, and peak at about
+    # 0.05 MB; holding S_n whole (S_7 has 5,040 permutations, S_6 720) goes
+    # past the bound
     import tracemalloc
 
     assert run_check(check_id, n_max=n_max).passed  # parse the grammar and rank the patterns
@@ -502,7 +556,11 @@ def test_stats_id_computes_each_statistic_vector_once(monkeypatch):
     monkeypatch.setattr(perms, "stats", counting)
     monkeypatch.setattr(checks, "stats", counting)
     assert run_check("stats-id", n_max=4).passed
-    assert len(calls) == sum(math.factorial(n) for n in range(5)) == 34
+    # once for the base (1,), once for each parent of S_1..S_4 the
+    # certificate reads, and once for each child of S_2..S_5
+    assert len(calls) == 1 + sum(math.factorial(n) for n in range(1, 5)) + \
+        sum(math.factorial(n) for n in range(2, 6)) == 186
+    assert max(Counter(calls).values()) == 2
 
 
 def test_stats_id_validates_each_pattern_once(monkeypatch):
@@ -516,8 +574,7 @@ def test_stats_id_validates_each_pattern_once(monkeypatch):
     monkeypatch.setattr(perms, "check_permutation", counting)
     monkeypatch.setattr(perms, "_PATTERN_ORDERS", {})  # as in a fresh process
     assert run_check("stats-id", n_max=4).passed
-    # the blocks come from permutations(n), so the walk validates no permutation
-    assert Counter(callers) == {"_consecutive_counts": 2}
+    assert callers.count("consecutive_count") == 2
 
 
 def test_run_many_parallel():

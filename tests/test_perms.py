@@ -7,19 +7,18 @@ import math
 import random
 import tracemalloc
 from collections import Counter
-from operator import lt
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permgram import perms as perms_module
-from permgram.algebra import LaurentPoly, _raw, parse_poly
+from permgram.algebra import LaurentPoly, parse_poly
 from permgram.checks import run_check
 from permgram.grammar import builtin, gen_coeffs
 from permgram.perms import (_BREAK, _DD, _DES, _DR, _EP1, _EP2, _P1, _P2, _PDD, _VALLEY,
-                            _unpack, WALK_CAP, EnumerationCapError, Labeling, consecutive_count,
+                            _unpack, WALK_CAP, EnumerationCapError, consecutive_count,
                             enumerate_poly, insertion_children, involution_count,
                             label_exterior, label_peak, permutations,
                             specialized_poly, stat_counts, stats,
@@ -209,190 +208,33 @@ def test_one_pass_definitions_match_the_references(perm):
     assert_matches_the_definitions(tuple(perm))
 
 
-# -- the per-permutation code the block kernels replace --------------------------
-#
-# The labelings, ``insertion_children`` and ``consecutive_count`` as they were
-# written for one permutation at a time, kept verbatim apart from their names
-# and docstrings as the references the block kernels are tested against.
-
-def parent_weight(exponents: Iterable[int]) -> LaurentPoly:
-    return _raw(WEIGHT_VARS, 1, {tuple([2 * e for e in exponents]): 1})  # canonical as built
-
-
-def _assign(labels: list[str | None], pos: int, label: str) -> None:
-    if labels[pos] is not None:
-        raise AssertionError(f"position {pos + 1} labeled twice ({labels[pos]} and {label})")
-    labels[pos] = label
-
-
-def parent_label_exterior(perm: Sequence[int]) -> Labeling:
-    perm = check_permutation(perm)
-    labels: list[str | None] = [None] * len(perm) + ["z"]
-    # i - 1 indexes pi_i for 1 <= i <= n-1; the left zero is never above pi_i,
-    # so a double descent found here has i >= 2
-    for i, left, mid, right in zip(itertools.count(1), (0,) + perm, perm, perm[1:]):
-        if left < mid > right:
-            if left < right:
-                _assign(labels, i - 1, "x")
-                _assign(labels, i, "v")
-            else:
-                _assign(labels, i - 1, "u")
-                _assign(labels, i, "z")
-        elif left > mid > right:
-            _assign(labels, i, "y")
-    filled = tuple([label or "w" for label in labels])
-    return Labeling(filled, parent_weight(map(filled.count, WEIGHT_VARS)))
-
-
-def parent_label_peak(perm: Sequence[int]) -> Labeling:
-    perm = check_permutation(perm)
-    n = len(perm)
-    if n < 1:
-        raise ValueError("peak-scheme labeling needs a nonempty permutation")
-    labels: list[str | None] = [None] * (n + 1)
-    padded = (0,) + perm + (0,)  # both boundary zeros
-    for i, left, mid, right in zip(itertools.count(1), padded, perm, padded[2:]):
-        if left < mid > right:
-            if left <= right:
-                _assign(labels, i - 1, "x")
-                _assign(labels, i, "v")
-            else:
-                _assign(labels, i - 1, "u")
-                _assign(labels, i, "z")
-        elif left > mid > right:
-            _assign(labels, i, "y")
-        elif left < mid < right:
-            _assign(labels, i - 1, "w")
-    if None in labels:
-        raise AssertionError(f"peak labeling left a position unlabeled for {perm}")
-    filled = tuple(labels)  # type: ignore[arg-type]
-    return Labeling(filled, parent_weight(map(filled.count, WEIGHT_VARS)))
-
-
-def parent_insertion_children(perm: Sequence[int]) -> list[Perm]:
-    perm = check_permutation(perm)
-    new = len(perm) + 1
-    return [perm[:i] + (new,) + perm[i:] for i in range(new)]
-
-
-#: The positions of each valid pattern seen, in the order it ranks them.
-_PARENT_PATTERN_ORDERS: dict[tuple[int, ...], list[int]] = {}
-
-
-def parent_consecutive_count(perm: Sequence[int], pattern: Sequence[int]) -> int:
-    key = tuple(pattern)
-    order = _PARENT_PATTERN_ORDERS.get(key)
-    if order is None:  # validate and rank each distinct pattern once
-        pattern = check_permutation(pattern)
-        if not pattern:
-            raise ValueError("empty pattern")
-        order = _PARENT_PATTERN_ORDERS[key] = sorted(range(len(pattern)), key=pattern.__getitem__)
-    perm = tuple(perm)
-    last = max(len(perm) - len(order) + 1, 0)  # number of windows
-    # column j lists, window by window, the value at the j-th ranked position
-    columns = [perm[k:last + k] for k in order]
-    rises = [map(lt, low, high) for low, high in zip(columns, columns[1:])]
-    return sum(map(all, zip(*rises))) if rises else last
-
-
-def assert_block_matches_the_parent(block: list[Perm], patterns=PATTERNS) -> None:
-    """Every block kernel over this block of equal-length permutations
-    against the per-permutation code, permutation by permutation."""
-    cols, size, n = list(zip(*block)), len(block), len(block[0])
-    schemes = [(perms_module._EXTERIOR, parent_label_exterior)]
-    if n:
-        schemes.append((perms_module._PEAK, parent_label_peak))
-    for scheme, parent in schemes:
-        labels = perms_module._label_columns(cols, size, scheme)
-        expected = list(map(parent, block))
-        assert list(zip(*labels)) == [labeling.labels for labeling in expected], block
-        weights = map(perms_module._monomials, zip(perms_module._weight_keys(labels)))
-        assert list(weights) == [labeling.weight for labeling in expected], block
-    for pattern in patterns:
-        assert perms_module._consecutive_counts(block, pattern) == \
-            [parent_consecutive_count(perm, pattern) for perm in block], (block, pattern)
-    children = [list(zip(*child)) for child in perms_module._insertion_columns(cols, size)]
-    assert list(zip(*children)) == [tuple(parent_insertion_children(perm)) for perm in block]
-
-
-def test_block_kernels_match_the_per_permutation_code_exhaustively():
-    # every pattern of length <= 4 through S_7; on S_8 the two that stats-id
-    # counts, since the reference takes 4 s for all 33 there
-    for n in range(9):
-        walk = list(permutations(n))
-        patterns = PATTERNS if n <= 7 else [(2, 3, 1), (3, 2, 1)]
-        for start in range(0, len(walk), 1000):
-            assert_block_matches_the_parent(walk[start:start + 1000], patterns)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 16).flatmap(
-    lambda n: st.lists(st.permutations(range(1, n + 1)), min_size=1, max_size=6)))
-def test_block_kernels_match_the_per_permutation_code(block):
-    # any list of equal-length permutations is a block, in any order, repeats allowed
-    assert_block_matches_the_parent([tuple(perm) for perm in block])
-
-
 def test_long_permutations_match_the_per_permutation_code():
-    # a label count past 127 no longer fits in 8 bits once doubled
+    # past the exhaustive tests' reach, against the weight formulas read from ``stats``
     rng = random.Random(3)
     for n in (127, 128, 300):
         shuffled = list(range(1, n + 1))
         rng.shuffle(shuffled)
         for perm in (tuple(range(1, n + 1)), tuple(range(n, 0, -1)), tuple(shuffled)):
-            assert label_exterior(perm) == parent_label_exterior(perm)
-            assert label_peak(perm) == parent_label_peak(perm)
+            assert label_exterior(perm).weight == reference_exterior_weight(perm)
+            assert label_peak(perm).weight == reference_peak_weight(perm)
 
 
 @pytest.mark.parametrize("function, values", [
     (label_exterior, (1, 3)), (label_peak, [2, 2]), (insertion_children, (0,)),
     (label_exterior, (1, 1, 2))])
 def test_the_exported_kernels_reject_a_non_permutation(function, values):
-    parent = {label_exterior: parent_label_exterior, label_peak: parent_label_peak,
-              insertion_children: parent_insertion_children}[function]
-    with pytest.raises(ValueError) as expected:
-        parent(values)
     with pytest.raises(ValueError) as raised:
         function(values)
-    assert str(raised.value) == str(expected.value)
-    assert str(raised.value).startswith(f"{values!r} is not a permutation of 1..")
+    assert str(raised.value) == f"{values!r} is not a permutation of 1..{len(values)}"
 
 
-# Edited labeling rules: a double descent that labels pi_i instead of pi_{i+1}
-# labels some positions twice (and, in the peak scheme, leaves the trailing
-# zero unlabeled too); a double rise that labels nothing leaves positions of
-# the peak scheme unlabeled.
-GUARD_EDITS = [("_EXTERIOR", (False, True, False), ("y", None)),
-               ("_PEAK", (False, True, False), ("y", None)),
-               ("_PEAK", (True, False, True), (None, None))]
-
-
-@pytest.mark.parametrize("scheme_name, shape, edited", GUARD_EDITS)
-def test_a_block_raises_what_its_first_faulty_block_of_one_raises(scheme_name, shape, edited,
-                                                                   monkeypatch):
-    scheme = getattr(perms_module, scheme_name)
-    label = label_exterior if scheme is perms_module._EXTERIOR else label_peak
-    monkeypatch.setitem(scheme.rules, shape, edited)
-    rng = random.Random(7)
-    seen = set()
-    for n in range(1, 7):
-        for _ in range(20):
-            block = rng.sample(list(permutations(n)), min(math.factorial(n), 30))
-            errors = []
-            for perm in block:
-                try:
-                    label(perm)
-                except AssertionError as exc:
-                    errors.append(str(exc))
-            cols = list(zip(*block))
-            if not errors:
-                perms_module._label_columns(cols, len(block), scheme)
-                continue
-            with pytest.raises(AssertionError) as raised:
-                perms_module._label_columns(cols, len(block), scheme)
-            assert str(raised.value) == errors[0]
-            seen.add(errors[0].split(" (")[0].split(" for ")[0])
-    assert any("labeled twice" in message or "unlabeled" in message for message in seen)
+def test_a_position_labeled_twice_raises():
+    # the labelings' guard: a double descent that labeled pi_i, not pi_{i+1},
+    # would label the position after a peak a second time
+    labels = [None, "v", None]
+    with pytest.raises(AssertionError, match=r"^position 2 labeled twice \(v and y\)$"):
+        perms_module._assign(labels, 1, "y")
+    assert labels == [None, "v", None]
 
 
 # The weight monomials of the two schemes, keyed by variable name rather than
@@ -421,7 +263,7 @@ def reference_peak_weight(perm: Sequence[int]) -> LaurentPoly:
 
 def table_weight(row: str, perm: Perm) -> LaurentPoly:
     exponents = perms_module._DISTRIBUTIONS[row].exponents(stats(perm), len(perm))
-    return perms_module._monomials([perms_module._weight_key(exponents)])
+    return perms_module._weight(exponents)
 
 
 def test_table_weights_match_the_name_keyed_references():
