@@ -42,11 +42,11 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import sub
+from operator import mul, sub
 from typing import Callable, Sequence
 
 from . import perms, series, specialfn
-from .algebra import LaurentPoly, _raw, monomial_str
+from .algebra import AlgebraError, LaurentPoly, _ratio, _raw, monomial_str
 from .grammar import Grammar, builtin, builtin_hash, flow_series, gen_coeffs, gen_product
 from .perms import (WEIGHT_VARS, enumerate_poly, involution_count, permutations,
                     specialized_poly, stats)
@@ -222,18 +222,54 @@ def _roots(order: int) -> list:
 # -- shared comparison loops -----------------------------------------------------
 
 
-def _check_series_against(rec: Report, rhs: Series, values: Sequence[Fraction],
+def _check_series_against(rec: Report, rhs: Series, nums: Sequence[int], den: int,
                           label: str) -> None:
-    """Coefficient n of the series against the oracle value over n!, compared
-    as ints: ``value / n! == rhs.nums[n] / rhs.den``."""
-    den, nums = rhs.den, rhs.nums
-    factorial = 1
-    for n, value in enumerate(values):
-        factorial *= n or 1
-        if value.numerator * den == nums[n] * factorial * value.denominator:
+    """Coefficient n of the series against the oracle value nums[n] / den over
+    n!, compared as ints: ``nums[n] * rhs.den == rhs.nums[n] * n! * den``."""
+    scale = den  # n! * den
+    for n, num in enumerate(nums):
+        scale *= n or 1
+        if num * rhs.den == rhs.nums[n] * scale:
             rec.checked += 1
         else:  # let ``equal`` count and word the failure
-            rec.equal(rhs[n], value / factorial, f"{label}, coefficient of t^{n}")
+            rec.equal(rhs[n], F(num, scale), f"{label}, coefficient of t^{n}")
+
+
+def _oracle_reader(polys: Sequence[LaurentPoly | None]
+                   ) -> Callable[[dict], tuple[list[int], int]]:
+    """``read(point)``: the values of ``polys`` (None for 0) at a point, as int
+    numerators over one denominator.  The exponent columns are read here, once;
+    at a point, a variable at a/b with largest exponent top gives exponent e
+    the factor a^e b^(top - e), from one table, and the denominator b^top.
+    Only nonnegative integer exponents are read; others raise ``AlgebraError``.
+    """
+    present = [poly for poly in polys if poly is not None]
+    vars, keys = present[0].vars if present else (), [key for p in present for key in p.nums]
+    for key in keys:
+        if any(t < 0 or t % 2 for t in key):
+            raise AlgebraError("oracle values need nonnegative integer exponents, "
+                               f"not {monomial_str(vars, key)}")
+    common = math.lcm(*(poly.den for poly in present))
+    tops = [(i, name, top) for i, name in enumerate(vars)
+            if (top := max((key[i] for key in keys), default=0) // 2)]
+    rows = [None if poly is None else
+            ([num * (common // poly.den) for num in poly.nums.values()],
+             [[key[i] // 2 for key in poly.nums] for i, _, _ in tops]) for poly in polys]
+
+    def read(point: dict) -> tuple[list[int], int]:
+        den, nums, tables = common, [], []
+        for _, name, top in tops:
+            a, b = _ratio(point[name])
+            b_pows = list(itertools.accumulate(itertools.repeat(b, top), mul, initial=1))
+            tables.append(list(map(mul, itertools.accumulate(itertools.repeat(a, top), mul,
+                                                             initial=1), reversed(b_pows))))
+            den *= b_pows[top]
+        for total, columns in (row or ((), ()) for row in rows):  # None reads as 0
+            for table, column in zip(tables, columns):
+                total = map(mul, total, map(table.__getitem__, column))
+            nums.append(sum(total))
+        return nums, den
+    return read
 
 
 def _run_samples(spec: CheckSpec, rec: Report, parts: Sequence[tuple]) -> list[dict]:
@@ -246,16 +282,15 @@ def _run_samples(spec: CheckSpec, rec: Report, parts: Sequence[tuple]) -> list[d
     """
     points = []
     for target, builder, grid, *keep in parts:
-        polys = [specialized_poly(n, target) if not keep or keep[0](n) else None
-                 for n in range(spec.order + 1)]
+        read = _oracle_reader([specialized_poly(n, target) if not keep or keep[0](n) else None
+                               for n in range(spec.order + 1)])
         build = getattr(series, builder)  # by name, so a rebound builder is the one run
         for label, args, point in grid(spec.order):
             rhs = build(*args, spec.order)
             if point is None:
                 point, rhs = rhs
             points.append(point)
-            _check_series_against(rec, rhs, [F(0) if poly is None else poly.evaluate(point)
-                                             for poly in polys], f"{builder} at {label}")
+            _check_series_against(rec, rhs, *read(point), f"{builder} at {label}")
     return points
 
 
@@ -497,10 +532,9 @@ def _run_involutions(spec: CheckSpec, rec: Report) -> None:
     perms._require_cap(spec.n_max)
     rhs = series.rhs_involutions(spec.n_max)
     ns = range(spec.n_max + 1)
-    _check_series_against(rec, rhs, [F(involution_count(n)) for n in ns],
-                          "involution count")
-    _check_series_against(rec, rhs, [specialized_poly(n, "L").coeff({}) for n in ns],
-                          "L_n(0)")
+    _check_series_against(rec, rhs, [involution_count(n) for n in ns], 1, "involution count")
+    read = _oracle_reader([specialized_poly(n, "L") for n in ns])
+    _check_series_against(rec, rhs, *read({"x": F(0)}), "L_n(0)")
     rec.note(f"involution counts match exp(t + t^2/2) and L_n(0) for n <= {spec.n_max}")
 
 

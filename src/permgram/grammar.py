@@ -9,14 +9,15 @@ Read as a vector field, a grammar is also a flow: D is differentiation
 along X' = rule(X) (Chen, Theor. Comput. Sci. 117, 1993), so the value of
 the exponential generating function of a seed at a rational point,
 sum_n D^n(seed)(p) t^n/n!, is seed(X(t)) with X(0) = p.  ``flow_series``
-computes its Taylor coefficients exactly from power-series recurrences,
-without building any D^n(seed); the numeric checks take their exact
-truncations from it.
+computes its Taylor coefficients exactly, without building any D^n(seed):
+along the flow the logarithmic derivative of a monomial is a sum of other
+monomials, so one integer recurrence over monomial streams gives them.  The
+numeric checks take their exact truncations from it.
 
 The inner loops run in ints over one common denominator and reduce once per
 result: ``derive`` reads its input's numerators and scales the rules once,
 ``gen_product`` scales each stream to one denominator, and ``flow_series``
-holds every Taylor stream as int numerators over one denominator.
+fixes the denominator of every order before its loop starts.
 
 The built-in grammars are shipped as data files and parsed on first use,
 so the file parser is exercised on every run:
@@ -143,15 +144,19 @@ def flow_series(grammar: Grammar, seed: LaurentPoly, point: Mapping[str, Scalar]
     D^n(seed)(point) / n!, for n = 0 .. order.
 
     D is differentiation along the vector field X' = rule(X), so
-    sum_n D^n(f)(p) t^n/n! = f(X(t)) with X(0) = p.  The coefficients of X
-    follow one at a time from X_i[n+1] = rule_i(X)[n] / (n+1); a monomial
-    M = prod X_i^{e_i} follows from its log-derivative, n M[n] =
-    sum_k (sum_i e_i k log(X_i)[k]) M[n-k].  All of it is exact, and no
-    D^n(seed) is ever built.
+    sum_n D^n(f)(p) t^n/n! = f(X(t)) with X(0) = p.  Along the flow a
+    monomial M = prod X_i^(t_i/2) has M' = lam_M M with lam_M =
+    sum_i (t_i/2) rule_i(X) / X_i, a sum of the monomials N = M_i / X_i over
+    the terms M_i of each rule_i.  One stream of derivatives per monomial,
+    the seed's and the N's, then follows from M^(n) =
+    sum_{j<n} C(n-1, j) lam_M^(j) M^(n-1-j).  With r the lcm of the rules'
+    denominators and q that of the streams' starts, every order-n derivative
+    is an int over (2r)^n q^(n+1), so the recurrence runs in ints and entry n
+    is the one Fraction built from them.  No D^n(seed) is ever built.
 
     Every variable the flow from the seed reaches must be bound to a nonzero
-    rational (the logarithms need it), and one that carries a half exponent
-    to a rational square; otherwise this raises ``AlgebraError``.
+    rational (the logarithmic derivatives need it), and one that carries a
+    half exponent to a rational square; otherwise this raises ``AlgebraError``.
     """
     if order < 0:
         raise ValueError("derivative order must be nonnegative")
@@ -164,12 +169,14 @@ def flow_series(grammar: Grammar, seed: LaurentPoly, point: Mapping[str, Scalar]
         if i not in live:
             live.add(i)
             reach.extend(j for key in grammar.rules[i].nums for j, t in enumerate(key) if t)
-    keys = set(seed.nums).union(*(grammar.rules[i].nums for i in live))
+    r = math.lcm(*(grammar.rules[i].den for i in live))
+    # per live i, (c r, N) for each term c M_i of rule_i, with N = M_i / X_i
+    ratios = {i: [(num * (r // grammar.rules[i].den),
+                   tuple(t - 2 if j == i else t for j, t in enumerate(key)))
+                  for key, num in grammar.rules[i].nums.items()] for i in live}
+    keys = list(dict.fromkeys([*seed.nums, *(key for i in live for _, key in ratios[i])]))
     halves = {i for key in keys for i, t in enumerate(key) if t % 2}
-
-    starts: dict[int, Fraction] = {}   # X_i(0)
-    xs: dict[int, _Stream] = {}       # Taylor coefficients of X_i
-    x_rates: dict[int, _Stream] = {}  # k [t^k] log X_i, from k = 1
+    bases: dict[int, Fraction] = {}  # X_i(0), or its root where a half exponent needs one
     for i in live:
         name = grammar.vars[i]
         if name not in point:
@@ -177,68 +184,27 @@ def flow_series(grammar: Grammar, seed: LaurentPoly, point: Mapping[str, Scalar]
         value = _as_fraction(point[name])
         if value == 0:
             raise AlgebraError(f"the flow needs {name} != 0 at its start")
-        starts[i], xs[i], x_rates[i] = value, _Stream(value), _Stream(Fraction(0))
-    ms: dict[tuple[int, ...], _Stream] = {}       # Taylor coefficients of M
-    m_rates: dict[tuple[int, ...], _Stream] = {}  # k [t^k] log M, from k = 1
-    for key in keys:
-        start = Fraction(1)
-        for i, t in enumerate(key):
-            if t:
-                start *= _exact_root(starts[i], grammar.vars[i]) ** t if i in halves \
-                    else starts[i] ** (t // 2)
-        ms[key], m_rates[key] = _Stream(start), _Stream(Fraction(0))
-
-    def over_ms(poly: LaurentPoly) -> tuple[int, list[tuple[int, _Stream]]]:
-        """``(d, [(coeff * d, stream of M)])`` for the terms coeff * M of poly."""
-        return poly.den, [(num, ms[key]) for key, num in poly.nums.items()]
-
-    rules = {i: over_ms(grammar.rules[i]) for i in live}
-    logs = {key: [(t, x_rates[i]) for i, t in enumerate(key) if t] for key in keys}
-    for n in range(1, order + 1):
-        for i in live:
-            x, rate = xs[i], x_rates[i]
-            den, terms = rules[i]
-            num, common = _combine(terms, n - 1)
-            x.push(num, den * common * n)
-            # n X[n] = sum_{k=1..n} rate[k] X[n-k]; solve for rate[n] over rate.den * x.den
-            known = sum(map(mul, rate.nums[1:n], x.nums[n - 1:0:-1]))
-            rate.push(n * x.nums[n] * rate.den - known, rate.den * x.nums[0])
-        for key, m in ms.items():
-            rate = m_rates[key]
-            num, common = _combine(logs[key], n)
-            rate.push(num, 2 * common)
-            m.push(sum(map(mul, rate.nums[1:n + 1], m.nums[n - 1::-1])), rate.den * m.den * n)
-    den, terms = over_ms(seed)
-    return [Fraction(num, den * common) for num, common in
-            (_combine(terms, n) for n in range(order + 1))]
-
-
-def _combine(terms: list[tuple[int, "_Stream"]], n: int) -> tuple[int, int]:
-    """sum_j c_j s_j[n] for int weights c_j and streams s_j, as (numerator,
-    denominator) over the lcm of the streams' denominators."""
-    common = math.lcm(*(stream.den for _, stream in terms))
-    return sum(c * stream.nums[n] * (common // stream.den) for c, stream in terms), common
-
-
-class _Stream:
-    """A Taylor coefficient stream as int numerators over one common
-    denominator, so the flow's convolutions are sums of int products."""
-
-    __slots__ = ("den", "nums")
-
-    def __init__(self, value: Fraction):
-        self.den, self.nums = value.denominator, [value.numerator]
-
-    def push(self, num: int, den: int) -> None:
-        """Append num / den (den != 0), reduced once; the common denominator
-        grows to the lcm when den does not divide it."""
-        g = math.gcd(num, den)
-        num, den = (num // g, den // g) if den > 0 else (-num // g, -den // g)
-        if self.den % den:
-            grow = den // math.gcd(self.den, den)
-            self.nums = [c * grow for c in self.nums]
-            self.den *= grow
-        self.nums.append(num * (self.den // den))
+        bases[i] = _exact_root(value, name) if i in halves else value
+    starts = [math.prod((bases[i] ** (t if i in halves else t // 2)
+                         for i, t in enumerate(key) if t), start=Fraction(1)) for key in keys]
+    q = math.lcm(*(start.denominator for start in starts))
+    # streams[M][n] = (2r)^n q^(n+1) M^(n)(0)
+    streams = {key: [start.numerator * (q // start.denominator)]
+               for key, start in zip(keys, starts)}
+    rates = {i: [] for i in live}  # rates[i][j] = r (2r)^j q^(j+1) (rule_i(X) / X_i)^(j)
+    sums = [(rates[i], [(c, streams[key]) for c, key in ratios[i]]) for i in live]
+    # per M: its terms t_i rates[i] and lam[j] = 2r (2r)^j q^(j+1) lam_M^(j)
+    logs = [([(t, rates[i]) for i, t in enumerate(key) if t], [], streams[key]) for key in keys]
+    for j in range(order):  # the streams hold orders 0..j: add order j + 1
+        for rate, terms in sums:
+            rate.append(sum(c * stream[j] for c, stream in terms))
+        row = [math.comb(j, k) for k in range(j + 1)]
+        for log, lam, stream in logs:
+            lam.append(sum(t * rate[j] for t, rate in log))
+            stream.append(sum(map(mul, map(mul, row, lam), reversed(stream))))
+    terms = [(num, streams[key]) for key, num in seed.nums.items()]
+    return [Fraction(sum(c * stream[n] for c, stream in terms),
+                     seed.den * q * (2 * r * q) ** n * math.factorial(n)) for n in range(order + 1)]
 
 
 def _exact_root(value: Fraction, name: str) -> Fraction:

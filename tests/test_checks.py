@@ -6,11 +6,12 @@ import dataclasses
 import math
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from permgram import checks, perms, series, specialfn
-from permgram.algebra import parse_poly
+from permgram.algebra import AlgebraError, parse_poly
 from permgram.checks import (EN_ROOTS, REGISTRY, X_GRID, CheckSpec, Report, UnknownCheckError,
                              _gen_num_trials, check_ids, en_roots, run_check, run_many,
                              x_grid, y_grid)
@@ -300,6 +301,46 @@ def test_sample_grids_cover_the_degree_bound():
         assert not set(xs) & set(ys)
         assert xs[:10] == X_GRID and roots[:10] == EN_ROOTS
     assert x_grid(9) == X_GRID and len(x_grid(16)) == 17
+
+
+# Every row whose oracle values ``_run_samples`` reads over one denominator.
+ORACLE_ROWS = ("gessel", "elizalde-noy", "barry-basset", "fu", "carlitz-scoville", "ln", "tn",
+               "tbar", "ttilde", "kitaev", "ta")
+
+
+@pytest.mark.parametrize("order", [None, 20])
+def test_sampled_oracle_values_match_evaluate(order, monkeypatch):
+    # every part of every such row, at every sample and every n: the numerator
+    # over its denominator against LaurentPoly.evaluate, None counting as 0
+    reader = checks._oracle_reader
+    reads = Counter()
+
+    def checked_reader(polys):
+        read = reader(polys)
+
+        def checked_read(point):
+            nums, den = read(point)
+            assert len(nums) == len(polys)
+            for n, (poly, num) in enumerate(zip(polys, nums)):
+                assert Fraction(num, den) == (0 if poly is None else poly.evaluate(point)), (point, n)
+            reads[check_id] += 1
+            return nums, den
+        return checked_read
+
+    monkeypatch.setattr(checks, "_oracle_reader", checked_reader)
+    for check_id in ORACLE_ROWS:
+        report = run_check(check_id, order=order)
+        assert report.passed, report.counterexample
+        # each comparison but elizalde-noy's distinct-y count reads an oracle value
+        comparisons = report.checked - (check_id == "elizalde-noy")
+        assert reads[check_id] * (report.spec.order + 1) == comparisons, check_id
+
+
+@pytest.mark.parametrize("text", ["x^-1 + y", "x*y^1/2"])
+def test_oracle_reader_refuses_negative_and_half_exponents(text):
+    polys = [parse_poly("1 + x*y", ("x", "y")), None, parse_poly(text, ("x", "y"))]
+    with pytest.raises(AlgebraError, match="nonnegative integer exponents"):
+        checks._oracle_reader(polys)
 
 
 # A wrong but well-formed builder for each exact-sampled check, bound now so

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from permgram import grammar as grammar_module
 from permgram.algebra import AlgebraError, LaurentPoly, parse_poly
+from permgram.checks import _gen_num_trials
 from permgram.grammar import (Grammar, GrammarError, builtin, builtin_hash, builtin_names,
                               builtin_source, flow_series, gen_coeffs, gen_product, load_grammar,
                               parse_grammar, resolve_grammar)
@@ -320,8 +321,8 @@ def test_flow_matches_the_symbolic_chain_on_random_grammars(case):
         assert math.factorial(n) * flow[n] == poly.evaluate(point), n
 
 
-# coordinates and coefficients with unlike denominators, so the flow's streams
-# rescale to a new common denominator as they grow
+# coordinates and coefficients with unlike denominators, so the flow's fixed
+# denominator (2rq)^n carries several primes at once
 SPREAD = st.fractions(min_value=-3, max_value=3, max_denominator=17).filter(bool)
 SPREAD_COEFFS = st.one_of(st.integers(min_value=-3, max_value=3),
                           st.fractions(min_value=-2, max_value=2, max_denominator=9))
@@ -339,9 +340,12 @@ def test_flow_matches_derive_and_evaluate_over_unlike_denominators(case):
         assert math.factorial(n) * flow[n] == poly.evaluate(point), n
 
 
+UNLIKE = {"x": F(3, 7), "y": F(5, 16), "z": F(9, 25), "w": F(-4, 3), "u": F(7, 10),
+          "v": F(2, 11)}
+
+
 def test_flow_under_G_over_unlike_denominators():
-    point = {"x": F(3, 7), "y": F(5, 16), "z": F(9, 25), "w": F(-4, 3), "u": F(7, 10),
-             "v": F(2, 11)}
+    point = dict(UNLIKE)
     for seed in ("z", "w", "x^-1*z"):
         _assert_flow_matches_chain(G, seed, point, 12)
     # the half seed s at x = 9/49, z = 9/25: s^2 = x^-1 z^-1 along the flow
@@ -526,16 +530,9 @@ def test_a_stream_times_itself_pairs_each_term_once(monkeypatch, order):
                                                                [p.terms for p in b])
 
 
-def test_the_half_seed_kernel_builds_no_fraction(monkeypatch):
-    # derive the scaled half seed to order 16, square the chain and form the
-    # cylinder-equation residuals of the ode check, counting every Fraction
-    # built; the inputs and scalars are built before counting starts
-    order = 14
-    seed = G.poly("-8/3*x^-1/2*z^-1/2")
-    alpha = G.poly("y^2 + 2*y*w + w^2 - 2*x*v - 2*z*u")
-    beta = 2 * (G.poly("w") - G.poly("y")) * G.poly("x*v - z*u")
-    gamma = 2 * G.poly("x*v - z*u") ** 2
-    scales = [(F(1, 4), F(n, 4), F(n * (n - 1), 8)) for n in range(order + 1)]
+def _count_fractions(monkeypatch) -> list:
+    """The argument tuples of every Fraction built from here on, until the
+    monkeypatch is undone."""
     built = []
 
     def counting(cls, *args, **kwargs):
@@ -549,6 +546,20 @@ def test_the_half_seed_kernel_builds_no_fraction(monkeypatch):
             lambda cls, *args: built.append(args) or coprime(cls, *args)))
     assert F(1, 3) and len(built) == 1  # the counter sees a construction
     built.clear()
+    return built
+
+
+def test_the_half_seed_kernel_builds_no_fraction(monkeypatch):
+    # derive the scaled half seed to order 16, square the chain and form the
+    # cylinder-equation residuals of the ode check, counting every Fraction
+    # built; the inputs and scalars are built before counting starts
+    order = 14
+    seed = G.poly("-8/3*x^-1/2*z^-1/2")
+    alpha = G.poly("y^2 + 2*y*w + w^2 - 2*x*v - 2*z*u")
+    beta = 2 * (G.poly("w") - G.poly("y")) * G.poly("x*v - z*u")
+    gamma = 2 * G.poly("x*v - z*u") ** 2
+    scales = [(F(1, 4), F(n, 4), F(n * (n - 1), 8)) for n in range(order + 1)]
+    built = _count_fractions(monkeypatch)
     chain = gen_coeffs(G, seed, order + 2)
     square = gen_product(chain[:order + 1], chain[:order + 1])
     residuals = []
@@ -564,6 +575,21 @@ def test_the_half_seed_kernel_builds_no_fraction(monkeypatch):
     assert all(residual.is_zero() for residual in residuals)
     assert square == gen_coeffs(G, F(64, 9) * G.poly("x^-1*z^-1"), order)
     assert chain[1].terms == {(-1, 2, -1, 0, 0, 0): F(4, 3), (-1, 0, -1, 2, 0, 0): F(4, 3)}
+
+
+@pytest.mark.parametrize("point", [_gen_num_trials("z")[0][0], UNLIKE], ids=["box", "unlike"])
+def test_the_flow_loop_builds_no_fraction(point, monkeypatch):
+    # the recurrence runs in ints over a denominator fixed before it starts:
+    # twenty more orders build the twenty more entries and nothing else
+    seed = G.poly("z")
+    built = _count_fractions(monkeypatch)
+    short = flow_series(G, seed, point, 5)
+    count = len(built)
+    built.clear()
+    long = flow_series(G, seed, point, 25)
+    assert len(built) == count + 20
+    monkeypatch.undo()
+    assert long[:6] == short
 
 
 def test_gen_product_rejects_mismatched_variable_sets():
