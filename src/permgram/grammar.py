@@ -169,12 +169,9 @@ def flow_series(grammar: Grammar, seed: LaurentPoly, point: Mapping[str, Scalar]
         if i not in live:
             live.add(i)
             reach.extend(j for key in grammar.rules[i].nums for j, t in enumerate(key) if t)
-    r = math.lcm(*(grammar.rules[i].den for i in live))
-    # per live i, (c r, N) for each term c M_i of rule_i, with N = M_i / X_i
-    ratios = {i: [(num * (r // grammar.rules[i].den),
-                   tuple(t - 2 if j == i else t for j, t in enumerate(key)))
-                  for key, num in grammar.rules[i].nums.items()] for i in live}
-    keys = list(dict.fromkeys([*seed.nums, *(key for i in live for _, key in ratios[i])]))
+    # per i, N -> c r for each term c M_i of rule_i, with N = M_i / X_i
+    r, _, ratios = grammar._deltas
+    keys = list(dict.fromkeys([*seed.nums, *(key for i in live for key in ratios[i])]))
     halves = {i for key in keys for i, t in enumerate(key) if t % 2}
     bases: dict[int, Fraction] = {}  # X_i(0), or its root where a half exponent needs one
     for i in live:
@@ -192,7 +189,7 @@ def flow_series(grammar: Grammar, seed: LaurentPoly, point: Mapping[str, Scalar]
     streams = {key: [start.numerator * (q // start.denominator)]
                for key, start in zip(keys, starts)}
     rates = {i: [] for i in live}  # rates[i][j] = r (2r)^j q^(j+1) (rule_i(X) / X_i)^(j)
-    sums = [(rates[i], [(c, streams[key]) for c, key in ratios[i]]) for i in live]
+    sums = [(rates[i], [(c, streams[key]) for key, c in ratios[i].items()]) for i in live]
     # per M: its terms t_i rates[i] and lam[j] = 2r (2r)^j q^(j+1) lam_M^(j)
     logs = [([(t, rates[i]) for i, t in enumerate(key) if t], [], streams[key]) for key in keys]
     for j in range(order):  # the streams hold orders 0..j: add order j + 1

@@ -196,8 +196,8 @@ class Series:
 #
 # Each builder runs an integer recurrence on its parameters as (numerator,
 # denominator) pairs.  ``exp_poly`` and ``hyp1f1_ct2`` take the pairs
-# through ``_exp_poly`` and ``_hyp1f1_ct2``, which ``rhs_t`` and the two
-# ``rhs_ta`` builders call directly, so those build no Fraction at all.
+# through ``_exp_poly`` and ``_hyp1f1_ct2``, which the two 1F1 builders
+# ``rhs_t`` and ``rhs_ta`` call directly, so those build no Fraction at all.
 
 
 def _exp_poly(c1: _Ratio, c2: _Ratio, order: int) -> Series:
@@ -283,17 +283,15 @@ def rhs_gessel(x: Scalar, order: int) -> Series:
 
 
 def rhs_elizalde_noy(a: Scalar, order: int) -> tuple[dict[str, Fraction], Series]:
-    """Proper double descents, sampled through y = a + 1/a - 1 so that
+    """Proper double descents (Elizalde & Noy 2003): ``rhs_fu`` at
+    x = z = w = 1, sampled through y = a + 1/a - 1 so that
     sqrt((y-1)(y+3)) = |a - 1/a| is rational.  Returns the evaluation
     point {y} and the series."""
     a = _as_fraction(a)
     if a in (0, 1, -1):
         raise SamplingError("root parameter a must avoid 0 and +-1")
-    y = a + 1 / a - 1
-    s = a - 1 / a
-    numerator = 2 * s * exp_poly((1 - y + s) / 2, 0, order)
-    denominator = (1 + y + s) - (1 + y - s) * exp_poly(s, 0, order)
-    return {"y": y}, numerator / denominator
+    point, rhs = rhs_fu(a, 1 / a, a + 1 / a - 1, order)
+    return {"y": point["y"]}, rhs
 
 
 def rhs_barry_basset(order: int) -> Series:
@@ -303,16 +301,20 @@ def rhs_barry_basset(order: int) -> Series:
     return exp_poly(Fraction(1, 2), 0, order) / (even - odd / 2)
 
 
-def rhs_fu(a: Scalar, b: Scalar, y: Scalar, order: int) -> tuple[dict[str, Fraction], Series]:
-    """Exterior peaks and proper double descents, four variables, sampled
-    with xz = ab and y + w = a + b so sqrt((y+w)^2 - 4xz) = |a-b|.
-    Returns the evaluation point {x, y, z, w} and the series."""
+def _root_point(a: Scalar, b: Scalar, y: Scalar) -> tuple[Fraction, Fraction, dict[str, Fraction]]:
+    """Roots a != b and the point {x, y, z, w} with xz = ab, z = 1 and
+    y + w = a + b, where sqrt((y+w)^2 - 4xz) = |a-b| is rational."""
     a, b, y = _as_fraction(a), _as_fraction(b), _as_fraction(y)
     if a == b:
         raise SamplingError("root parameters must be distinct")
-    d = a - b
-    w = a + b - y
-    point = {"x": a * b, "y": y, "z": Fraction(1), "w": w}
+    return a, b, {"x": a * b, "y": y, "z": Fraction(1), "w": a + b - y}
+
+
+def rhs_fu(a: Scalar, b: Scalar, y: Scalar, order: int) -> tuple[dict[str, Fraction], Series]:
+    """Exterior peaks and proper double descents, four variables, at the
+    root point of a and b.  Returns the evaluation point and the series."""
+    a, b, point = _root_point(a, b, y)
+    y, w, d = point["y"], point["w"], a - b
     numerator = 2 * point["z"] * d * exp_poly((w - y + d) / 2, 0, order)
     denominator = (y + w + d) - (y + w - d) * exp_poly(d, 0, order)
     return point, numerator / denominator
@@ -320,12 +322,8 @@ def rhs_fu(a: Scalar, b: Scalar, y: Scalar, order: int) -> tuple[dict[str, Fract
 
 def rhs_carlitz_scoville(a: Scalar, b: Scalar, y: Scalar, order: int) -> tuple[dict[str, Fraction], Series]:
     """Peaks/valleys/double descents/double rises with roots alpha=a,
-    beta=b: (e^{bt} - e^{at}) / (b e^{at} - a e^{bt}), xz = ab, y + w = a + b."""
-    a, b, y = _as_fraction(a), _as_fraction(b), _as_fraction(y)
-    if a == b:
-        raise SamplingError("root parameters must be distinct")
-    w = a + b - y
-    point = {"x": a * b, "y": y, "z": Fraction(1), "w": w}
+    beta=b: (e^{bt} - e^{at}) / (b e^{at} - a e^{bt}) at the root point."""
+    a, b, point = _root_point(a, b, y)
     numerator = exp_poly(b, 0, order) - exp_poly(a, 0, order)
     denominator = b * exp_poly(a, 0, order) - a * exp_poly(b, 0, order)
     return point, numerator / denominator
@@ -341,18 +339,25 @@ def rhs_l(x: Scalar, order: int) -> Series:
     return e / (Series.one(order) - x * e.integrate())
 
 
+def _xy(x: Scalar, y: Scalar) -> tuple[int, int, int, _Ratio]:
+    """``(s, x s, y s, c)``: x and y over one denominator s, and
+    c = (x - y)/2 as ((x - y) s, 2 s), so a 1F1 parameter u/(2(x - y)) is
+    (u s, 2 c[0]).  x = y is degenerate."""
+    (px, qx), (py, qy) = _ratio(x), _ratio(y)
+    s, xs, ys = qx * qy, px * qy, py * qx
+    if xs == ys:
+        raise SamplingError("x = y is degenerate here; use the single-variable form")
+    return s, xs, ys, (xs - ys, 2 * s)
+
+
 def rhs_t(x: Scalar, y: Scalar, order: int) -> Series:
     """Joint exterior-peak patterns:
     e^{(x-y)t^2/2} / (1F1(a; 1/2; c t^2) - t * 1F1(a + 1/2; 3/2; c t^2))
     with a = (1-y)/(2(x-y)) and c = (x-y)/2."""
-    (px, qx), (py, qy) = _ratio(x), _ratio(y)
-    dn = px * qy - py * qx  # x - y = dn / (qx qy)
-    if dn == 0:
-        raise SamplingError("x = y is degenerate here; use the single-variable form")
-    c = (dn, 2 * qx * qy)
-    a = (qy - py) * qx  # a = this / (2 dn)
-    denominator = _hyp1f1_ct2((a, 2 * dn), (1, 2), c, order) \
-        - _hyp1f1_ct2((a + dn, 2 * dn), (3, 2), c, order).mul_t()
+    s, _, ys, c = _xy(x, y)
+    dn = c[0]
+    denominator = _hyp1f1_ct2((s - ys, 2 * dn), (1, 2), c, order) \
+        - _hyp1f1_ct2((s - ys + dn, 2 * dn), (3, 2), c, order).mul_t()
     return _exp_poly((0, 1), c, order) / denominator
 
 
@@ -369,29 +374,15 @@ def rhs_ttilde(y: Scalar, order: int) -> Series:
     return Series.one(order) / (Series.one(order) - exp_poly(0, (y - 1) / 2, order).integrate())
 
 
-def rhs_ta_even(x: Scalar, y: Scalar, order: int) -> Series:
-    """Alternating permutations of even length:
-    e^{(x-y)t^2/2} / 1F1(-y/(2(x-y)); 1/2; (x-y)t^2/2)."""
-    (px, qx), (py, qy) = _ratio(x), _ratio(y)
-    dn = px * qy - py * qx  # x - y = dn / (qx qy)
-    if dn == 0:
-        raise SamplingError("x = y is degenerate in the alternating builder")
-    c = (dn, 2 * qx * qy)
-    return _exp_poly((0, 1), c, order) / _hyp1f1_ct2((-py * qx, 2 * dn), (1, 2), c, order)
-
-
-def rhs_ta_odd(x: Scalar, y: Scalar, order: int) -> Series:
-    """Alternating permutations of odd length:
-    t e^{(x-y)t^2/2} 1F1(x/(2(x-y)); 3/2; -(x-y)t^2/2)
-      / 1F1(-y/(2(x-y)); 1/2; (x-y)t^2/2)."""
-    (px, qx), (py, qy) = _ratio(x), _ratio(y)
-    dn = px * qy - py * qx  # x - y = dn / (qx qy)
-    if dn == 0:
-        raise SamplingError("x = y is degenerate in the alternating builder")
-    c = (dn, 2 * qx * qy)
-    numerator = (_exp_poly((0, 1), c, order)
-                 * _hyp1f1_ct2((px * qy, 2 * dn), (3, 2), (-dn, c[1]), order)).mul_t()
-    return numerator / _hyp1f1_ct2((-py * qx, 2 * dn), (1, 2), c, order)
+def rhs_ta(x: Scalar, y: Scalar, order: int) -> Series:
+    """Alternating permutations, both parities:
+    e^{ct^2} (1 + t 1F1(x/(2(x-y)); 3/2; -ct^2)) / 1F1(-y/(2(x-y)); 1/2; ct^2)
+    with c = (x-y)/2.  All but the factor t is even in t, so even lengths
+    land on the even powers and odd lengths on the odd ones."""
+    _, xs, ys, c = _xy(x, y)
+    dn = c[0]
+    numerator = 1 + _hyp1f1_ct2((xs, 2 * dn), (3, 2), (-dn, c[1]), order).mul_t()
+    return _exp_poly((0, 1), c, order) * numerator / _hyp1f1_ct2((-ys, 2 * dn), (1, 2), c, order)
 
 
 def rhs_involutions(order: int) -> Series:

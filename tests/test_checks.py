@@ -12,9 +12,9 @@ import pytest
 
 from permgram import checks, perms, series, specialfn
 from permgram.algebra import AlgebraError, parse_poly
-from permgram.checks import (EN_ROOTS, REGISTRY, X_GRID, CheckSpec, Report, UnknownCheckError,
-                             _gen_num_trials, check_ids, en_roots, run_check, run_many,
-                             x_grid, y_grid)
+from permgram.checks import (EN_ROOTS, REGISTRY, ROOT_PAIRS, X_GRID, CheckSpec, Report,
+                             UnknownCheckError, _gen_num_trials, check_ids, en_roots, run_check,
+                             run_many, x_grid, y_grid)
 from permgram.grammar import (builtin, builtin_hash, builtin_source, flow_series, gen_coeffs,
                               parse_grammar)
 
@@ -264,8 +264,8 @@ COUNTS_AT_3 = {
     "tbar": (40, "132-pattern marginal matches enumeration at 10 points"),
     "ttilde": (40, "231-pattern marginal matches enumeration at 10 points"),
     "kitaev": (8, "avoider counts match both x=0 and y=0 specializations through t^3"),
-    "ta": (800, "alternating closed form matches enumeration in both parities on a 10x10 grid"),
-    "involutions": (8, "involution counts match exp(t + t^2/2) and L_n(0) for n <= 3"),
+    "ta": (400, "alternating closed form matches enumeration in both parities on a 10x10 grid"),
+    "involutions": (4, "involution counts match exp(t + t^2/2) for n <= 3"),
     "genp-num": (5, "exterior-scheme closed form matches the exact N=25 truncation at "
                     "5 box samples"),
     "genq-num": (5, "peak-scheme closed form matches the exact N=25 truncation at 5 box samples"),
@@ -354,11 +354,11 @@ WRONG_BUILDERS = {
            (fu(a, b, y, order)[0], cs(a, b, y, order)[1])},
     "carlitz-scoville": {"rhs_carlitz_scoville": series.rhs_fu},
     "ln": {"rhs_l": series.rhs_gessel},
-    "tn": {"rhs_t": series.rhs_ta_even},
+    "tn": {"rhs_t": lambda x, y, order: series.exp_poly(0, (x - y) / 2, order)},  # no denominator
     "tbar": {"rhs_tbar": series.rhs_ttilde},
     "ttilde": {"rhs_ttilde": series.rhs_tbar},
     "kitaev": {"rhs_tbar": series.rhs_ttilde},
-    "ta": {"rhs_ta_even": series.rhs_ta_odd, "rhs_ta_odd": series.rhs_ta_even},
+    "ta": {"rhs_ta": series.rhs_t},
     "involutions": {"rhs_involutions": lambda order: series.exp_poly(1, 1, order)},
     # 1F1(a; b; 2c t^2): Kummer's e^{c t^2} no longer matches, while scaling c
     # keeps the contiguous relation; shifting b by 1 breaks that one
@@ -387,6 +387,25 @@ SAMPLED_FAILURES = {
     "tn": "rhs_t at (x,y)=(0,1/3), coefficient of t^1: 0 != 1",
     "elizalde-noy": "rhs_elizalde_noy at a=2, coefficient of t^3: 11/9 != 13/12",
 }
+
+
+def test_a_wrong_fu_builder_fails_elizalde_noy_too(monkeypatch):
+    # elizalde-noy samples rhs_fu at x = z = w = 1, so a wrong Fu form fails both rows
+    monkeypatch.setattr(series, "rhs_fu", WRONG_BUILDERS["fu"]["rhs_fu"])
+    for check_id in ("fu", "elizalde-noy"):
+        report = run_check(check_id)
+        assert not report.passed and "coefficient of t^0" in report.counterexample, check_id
+
+
+def test_carlitz_scoville_compares_the_constant_term(monkeypatch):
+    # F starts at n = 1: at order 0 the row compares t^0 with an oracle read as 0
+    report = run_check("carlitz-scoville", order=0)
+    assert report.passed and report.checked == len(ROOT_PAIRS) * len(y_grid(0))
+    monkeypatch.setattr(series, "rhs_carlitz_scoville", series.rhs_fu)  # constant term 1
+    report = run_check("carlitz-scoville", order=0)
+    assert not report.passed
+    assert report.counterexample == ("rhs_carlitz_scoville at roots (1,2), y=1/3, "
+                                     "coefficient of t^0: 1 != 0")
 
 
 def _edited_g(name):

@@ -18,7 +18,7 @@ from permgram.perms import specialized_poly
 from permgram.series import (SamplingError, Series, exp_poly, hyp1f1_ct2,
                              rhs_barry_basset, rhs_carlitz_scoville, rhs_elizalde_noy,
                              rhs_fu, rhs_gessel, rhs_involutions, rhs_l, rhs_t,
-                             rhs_ta_even, rhs_ta_odd, rhs_tbar, rhs_ttilde, trig_sqrt)
+                             rhs_ta, rhs_tbar, rhs_ttilde, trig_sqrt)
 
 
 def geometric(order):
@@ -562,8 +562,8 @@ def test_the_right_hand_sides_match_the_fraction_builders_on_the_grids(x, y, roo
                       (rhs_t(x, y, order), reference_rhs_t(x, y, order)),
                       (rhs_tbar(x, order), reference_rhs_tbar(x, order)),
                       (rhs_ttilde(x, order), reference_rhs_ttilde(x, order)),
-                      (rhs_ta_even(x, y, order), reference_rhs_ta_even(x, y, order)),
-                      (rhs_ta_odd(x, y, order), reference_rhs_ta_odd(x, y, order)),
+                      (rhs_ta(x, y, order),
+                       reference_rhs_ta_even(x, y, order) + reference_rhs_ta_odd(x, y, order)),
                       (rhs_involutions(order), reference_rhs_involutions(order))):
         assert_same(got, want)
     for got, want in ((rhs_elizalde_noy(root, order), reference_rhs_elizalde_noy(root, order)),
@@ -591,12 +591,12 @@ def test_the_t_builders_build_no_fraction_until_read(monkeypatch):
             lambda cls, *args: built.append(args) or coprime(cls, *args)))
     assert F(1, 3) and len(built) == 1  # the counter sees a construction
     built.clear()
-    t, odd = rhs_t(x, y, 14), rhs_ta_odd(x, y, 14)
+    t, ta = rhs_t(x, y, 14), rhs_ta(x, y, 14)
     assert built == []
-    assert odd[1] == 1 and t[0] == 1 and len(built) == 2 * 15  # read: one per coefficient
+    assert ta[1] == 1 and t[0] == 1 and len(built) == 2 * 15  # read: one per coefficient
     monkeypatch.undo()
     assert_same(t, reference_rhs_t(x, y, 14))
-    assert_same(odd, reference_rhs_ta_odd(x, y, 14))
+    assert_same(ta, reference_rhs_ta_even(x, y, 14) + reference_rhs_ta_odd(x, y, 14))
 
 
 NEGATIVE_ORDER = {
@@ -614,8 +614,7 @@ NEGATIVE_ORDER = {
     "rhs_t": lambda: rhs_t(2, 1, -3),
     "rhs_tbar": lambda: rhs_tbar(2, -1),
     "rhs_ttilde": lambda: rhs_ttilde(2, -1),
-    "rhs_ta_even": lambda: rhs_ta_even(2, 1, -1),
-    "rhs_ta_odd": lambda: rhs_ta_odd(2, 1, -1),
+    "rhs_ta": lambda: rhs_ta(2, 1, -1),
     "rhs_involutions": lambda: rhs_involutions(-5),
 }
 
@@ -677,9 +676,7 @@ def test_t_builders_reject_x_equal_y():
     with pytest.raises(SamplingError):
         rhs_t(1, 1, 5)
     with pytest.raises(SamplingError):
-        rhs_ta_even(F(2, 3), F(2, 3), 5)
-    with pytest.raises(SamplingError):
-        rhs_ta_odd(F(2, 3), F(2, 3), 5)
+        rhs_ta(F(2, 3), F(2, 3), 5)
 
 
 def test_carlitz_scoville_starts_at_t():
@@ -709,16 +706,16 @@ def test_t_builder_against_oracle_spot():
 
 
 def test_ta_parity_builders_spot():
+    # one builder for both parities: the even-length formula lands on the
+    # even powers of t and the odd-length one on the odd powers
     x, y = F(2), F(3)
-    even = rhs_ta_even(x, y, 6)
-    odd = rhs_ta_odd(x, y, 6)
+    ta = rhs_ta(x, y, 6)
+    even, odd = reference_rhs_ta_even(x, y, 6), reference_rhs_ta_odd(x, y, 6)
     for n in range(7):
         expected = specialized_poly(n, "TA").evaluate({"x": x, "y": y}) / math.factorial(n)
-        if n % 2 == 0:
-            assert even[n] == expected and odd[n] == 0
-        else:
-            assert odd[n] == expected and even[n] == 0
-    assert odd[1] == 1  # the one-element permutation is alternating
+        assert ta[n] == expected == (odd if n % 2 else even)[n]
+        assert (even if n % 2 else odd)[n] == 0
+    assert ta[1] == 1  # the one-element permutation is alternating
 
 
 def test_tbar_ttilde_spot():
